@@ -298,9 +298,13 @@ func run(args []string) error {
 			wsnap.Get("wal_appends_total"), wsnap.Get("wal_append_bytes_total"), wsnap.Get("wal_syncs_total"))
 	}
 	if o, ok := engines[0].(*causal.OSend); ok {
-		m := o.Metrics()
-		fmt.Printf("engine[%s]: delivered=%d maxBuffered=%d duplicates=%d fetches=%d\n",
-			ids[0], m.Delivered, m.MaxBuffered, m.Duplicates, m.Fetches)
+		// The engines share one registry, so these are group-wide totals
+		// (and the group-wide holdback high-water mark).
+		s := o.Snapshot()
+		maxBuffered, _ := s.GaugeValue("causal_osend_pending_depth_max", "")
+		fmt.Printf("engine[osend, all members]: delivered=%d maxBuffered=%d duplicates=%d fetches=%d\n",
+			s.Get("causal_osend_delivered_total"), maxBuffered,
+			s.Get("causal_osend_duplicates_total"), s.Get("causal_osend_fetches_total"))
 	}
 	if audit.Consistent() {
 		fmt.Printf("RESULT: all %d replicas agreed at every one of %d stable points with zero agreement messages\n",

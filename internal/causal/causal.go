@@ -59,30 +59,6 @@ type Broadcaster interface {
 	Close() error
 }
 
-// Metrics is a snapshot of an engine's buffering behaviour.
-type Metrics struct {
-	// Delivered is the number of messages handed to the application.
-	Delivered uint64
-	// Buffered is the current number of messages held awaiting
-	// predecessors.
-	Buffered int
-	// MaxBuffered is the high-water mark of Buffered.
-	MaxBuffered int
-	// Duplicates is the number of frames discarded as already delivered
-	// or already buffered.
-	Duplicates uint64
-	// Fetches is the number of retransmission requests issued.
-	Fetches uint64
-	// ControlBytes counts wire bytes spent on ordering metadata (labels
-	// or vector clocks), for the overhead experiment E7.
-	ControlBytes uint64
-	// Retained is the current number of messages held for retransmission.
-	Retained int
-	// StablePruned counts retained messages garbage-collected after every
-	// peer's advertised watermark covered them.
-	StablePruned uint64
-}
-
 // Engine is the full surface the recovery and chaos machinery drives: the
 // Broadcaster sending half plus the anti-entropy, failure-marking and
 // rejoin hooks. OSend and PCCast implement it; CBCast (the baseline) stays

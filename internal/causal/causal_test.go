@@ -291,7 +291,7 @@ func TestOSendDuplicateFramesIgnored(t *testing.T) {
 	if !ok {
 		t.Fatal("not an OSend engine")
 	}
-	if m := e.Metrics(); m.Duplicates == 0 {
+	if e.Snapshot().Get("causal_osend_duplicates_total") == 0 {
 		t.Error("duplicate counter never incremented under DupProb=1")
 	}
 }
@@ -330,7 +330,7 @@ func TestOSendLossRecoveryViaFetch(t *testing.T) {
 	if !ok {
 		t.Fatal("not an OSend engine")
 	}
-	if m := e.Metrics(); m.Fetches == 0 {
+	if e.Snapshot().Get("causal_osend_fetches_total") == 0 {
 		t.Error("recovery happened without any fetches under 30% loss (suspicious)")
 	}
 }
@@ -551,8 +551,8 @@ func TestControlBytesComparison(t *testing.T) {
 	if !ok {
 		t.Fatal("not CBCast")
 	}
-	osendBytes := eo.Metrics().ControlBytes
-	cbcastBytes := ec.Metrics().ControlBytes
+	osendBytes := eo.Snapshot().Get("causal_osend_control_bytes_total")
+	cbcastBytes := ec.Snapshot().Get("causal_cbcast_control_bytes_total")
 	if osendBytes >= cbcastBytes {
 		t.Errorf("OSend control bytes %d not below CBCAST %d for 12-member group",
 			osendBytes, cbcastBytes)

@@ -31,8 +31,9 @@ type CBCastConfig struct {
 	// Patience bounds how long a buffered message waits on a vector-clock
 	// gap before the engine requests retransmission. Zero disables it.
 	Patience time.Duration
-	// Telemetry, when non-nil, registers the engine's causal_cbcast_*
-	// instruments there; the legacy Metrics struct is kept either way.
+	// Telemetry is the registry the engine registers its causal_cbcast_*
+	// instruments on; when nil the engine creates a private registry, so
+	// Snapshot stays per-engine.
 	Telemetry *telemetry.Registry
 	// Tracer, when non-nil, records span lifecycles into the group's
 	// trace.Collector. CBCast messages usually declare no dependencies, so
@@ -68,7 +69,7 @@ type CBCast struct {
 	pending   []cbEntry
 	retained  map[uint64][]byte // own frames by seq, for retransmission
 	lastFetch map[string]time.Time
-	metrics   Metrics
+	reg       *telemetry.Registry
 	ins       cbcastInstruments
 	meta      metaInstruments
 	peer      peerInstruments
@@ -100,6 +101,10 @@ func NewCBCast(cfg CBCastConfig) (*CBCast, error) {
 	if cfg.Deliver == nil {
 		return nil, fmt.Errorf("causal: nil deliver func")
 	}
+	reg := cfg.Telemetry
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
 	e := &CBCast{
 		self:      cfg.Self,
 		grp:       cfg.Group,
@@ -108,8 +113,9 @@ func NewCBCast(cfg CBCastConfig) (*CBCast, error) {
 		deliver:   cfg.Deliver,
 		patience:  cfg.Patience,
 		vc:        vclock.New(),
-		ins:       newCBCastInstruments(cfg.Telemetry),
-		meta:      newMetaInstruments(cfg.Telemetry),
+		reg:       reg,
+		ins:       newCBCastInstruments(reg),
+		meta:      newMetaInstruments(reg),
 		spans:     cfg.Tracer,
 		flight:    cfg.Flight,
 		wlog:      cfg.Journal,
@@ -117,8 +123,8 @@ func NewCBCast(cfg CBCastConfig) (*CBCast, error) {
 		lastFetch: make(map[string]time.Time),
 		done:      make(chan struct{}),
 	}
-	e.peer = newPeerInstruments(cfg.Telemetry)
-	registerPeerLag(cfg.Telemetry, e.others, e.peerLag)
+	e.peer = newPeerInstruments(reg)
+	registerPeerLag(reg, e.others, e.peerLag)
 	e.wg.Add(1)
 	go e.recvLoop()
 	if e.patience > 0 {
@@ -161,8 +167,6 @@ func (e *CBCast) Broadcast(m message.Message) error {
 	}
 	e.retained[seq] = frame
 	stampBytes, _ := stamp.MarshalBinary() // cannot fail
-	e.metrics.ControlBytes += uint64(len(stampBytes)) * uint64(e.grp.Size()-1)
-	e.metrics.Delivered++
 	e.ins.controlBytes.Add(uint64(len(stampBytes)) * uint64(e.grp.Size()-1))
 	e.meta.add(uint64(len(stampBytes)), uint64(e.grp.Size()-1))
 	e.meta.msgs.Inc()
@@ -173,7 +177,7 @@ func (e *CBCast) Broadcast(m message.Message) error {
 	e.spans.Enqueue(m)
 	e.spans.Deliver(m)
 	e.deliver(m)
-	// After the callback — see the OSend dispatch loop.
+	// After the callback — see depCore.handOut.
 	e.wlog.Deliver(m.Label)
 	// The frame is retained above for retransmission and never mutated, so
 	// every destination shares the one encoding. StaticFrame keeps it out
@@ -197,14 +201,10 @@ func (e *CBCast) Clock() vclock.VC {
 	return e.vc.Clone()
 }
 
-// Metrics returns a snapshot of the engine's counters.
-func (e *CBCast) Metrics() Metrics {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	m := e.metrics
-	m.Buffered = len(e.pending)
-	return m
-}
+// Snapshot returns the engine's registry snapshot. When the engine was
+// built with a shared registry the snapshot covers everything registered
+// on it.
+func (e *CBCast) Snapshot() telemetry.Snapshot { return e.reg.Snapshot() }
 
 // Close implements Broadcaster.
 func (e *CBCast) Close() error {
@@ -288,14 +288,12 @@ func (e *CBCast) ingest(sender string, vc vclock.VC, m message.Message) {
 		return
 	}
 	if vc.Get(sender) <= e.vc.Get(sender) {
-		e.metrics.Duplicates++ // already delivered (or impossibly old)
-		e.ins.duplicates.Inc()
+		e.ins.duplicates.Inc() // already delivered (or impossibly old)
 		e.mu.Unlock()
 		return
 	}
 	for _, p := range e.pending {
 		if p.sender == sender && p.vc.Get(sender) == vc.Get(sender) {
-			e.metrics.Duplicates++
 			e.ins.duplicates.Inc()
 			e.mu.Unlock()
 			return
@@ -303,9 +301,6 @@ func (e *CBCast) ingest(sender string, vc vclock.VC, m message.Message) {
 	}
 	e.spans.Enqueue(m)
 	e.pending = append(e.pending, cbEntry{sender: sender, vc: vc, msg: m, since: time.Now()})
-	if len(e.pending) > e.metrics.MaxBuffered {
-		e.metrics.MaxBuffered = len(e.pending)
-	}
 	e.ins.pendingMax.SetMax(int64(len(e.pending)))
 	ready := e.drainLocked()
 	e.ins.pendingDepth.Set(int64(len(e.pending)))
@@ -333,7 +328,7 @@ func (e *CBCast) ingest(sender string, vc vclock.VC, m message.Message) {
 	}
 	for _, r := range ready {
 		e.deliver(r)
-		// After the callback — see the OSend dispatch loop.
+		// After the callback — see depCore.handOut.
 		e.wlog.Deliver(r.Label)
 	}
 }
@@ -362,7 +357,6 @@ func (e *CBCast) drainLocked() []message.Message {
 				continue
 			}
 			e.vc.Merge(p.vc)
-			e.metrics.Delivered++
 			e.ins.delivered.Inc()
 			e.spans.Deliver(p.msg)
 			out = append(out, p.msg)
@@ -427,7 +421,6 @@ func (e *CBCast) handleAdvert(from string, latest uint64) {
 	}
 	if stale {
 		e.lastFetch[from] = time.Now()
-		e.metrics.Fetches++
 		e.ins.fetches.Inc()
 		e.flight.Fetch(message.Label{Origin: from, Seq: want}, from)
 	}
@@ -471,7 +464,6 @@ func (e *CBCast) fetchGaps(now time.Time) {
 			}
 			e.lastFetch[origin] = now
 			fetches = append(fetches, fetch{to: origin, seq: wantNext})
-			e.metrics.Fetches++
 			e.ins.fetches.Inc()
 			e.flight.Fetch(message.Label{Origin: origin, Seq: wantNext}, origin)
 		}

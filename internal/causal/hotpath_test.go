@@ -32,6 +32,10 @@ func newCaptureConn(id string) *captureConn {
 
 func (c *captureConn) LocalID() string { return c.id }
 
+// FIFO reports true so PCCast accepts the conn: it never delivers a frame,
+// so it cannot reorder one.
+func (c *captureConn) FIFO() bool { return true }
+
 func (c *captureConn) Send(to string, payload []byte) error {
 	c.mu.Lock()
 	c.payloads = append(c.payloads, payload)
@@ -111,84 +115,148 @@ func TestOSendEncodeOnce(t *testing.T) {
 	}
 }
 
-// TestOSendLastFetchPrunedOnDelivery is the regression test for the
-// unbounded lastFetch growth: once a fetched-for label is delivered, its
-// rate-limit entry must go away.
-func TestOSendLastFetchPrunedOnDelivery(t *testing.T) {
-	grp := group.MustNew("g", []string{"a", "b"})
+// depEngines are the engines built on the dependency core. Core tests run
+// against each, so a wrong frame tag or metric prefix in one engine's
+// construction fails them.
+var depEngines = []struct {
+	name     string
+	metrics  string // metric name prefix
+	fetchTag byte
+	// build starts an engine on cfg's fields, returning its core and the
+	// engine's own Close (PCCast's also stops its outbox).
+	build func(cfg OSendConfig) (*depCore, func() error, error)
+	// cluster starts one engine per id on net.
+	cluster func(t *testing.T, ids []string, net transport.Network, patience time.Duration) *cluster
+}{
+	{"osend", "causal_osend_", frameOSendFetch, func(cfg OSendConfig) (*depCore, func() error, error) {
+		e, err := NewOSend(cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		return &e.depCore, e.Close, nil
+	}, newOSendCluster},
+	{"pccast", "causal_pccast_", framePCCastFetch, func(cfg OSendConfig) (*depCore, func() error, error) {
+		e, err := NewPCCast(PCCastConfig{
+			Self: cfg.Self, Group: cfg.Group, Conn: cfg.Conn, Deliver: cfg.Deliver, Patience: cfg.Patience,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		return &e.depCore, e.Close, nil
+	}, func(t *testing.T, ids []string, net transport.Network, patience time.Duration) *cluster {
+		return newPCCastCluster(t, ids, net, patience, nil)
+	}},
+}
+
+// newCaptureCore starts a two-member engine "a" (peer "b") over a capture
+// conn with anti-entropy armed but a patience too long to ever tick.
+func newCaptureCore(t *testing.T, build func(OSendConfig) (*depCore, func() error, error)) (*depCore, *captureConn) {
+	t.Helper()
 	conn := newCaptureConn("a")
-	e, err := NewOSend(OSendConfig{
-		Self: "a", Group: grp, Conn: conn,
+	e, closeFn, err := build(OSendConfig{
+		Self: "a", Group: group.MustNew("g", []string{"a", "b"}), Conn: conn,
 		Deliver: func(message.Message) {}, Patience: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = e.Close() }()
+	t.Cleanup(func() { _ = closeFn() })
+	return e, conn
+}
 
-	m1 := message.Label{Origin: "b", Seq: 1}
-	m2 := message.Message{
-		Label: message.Label{Origin: "b", Seq: 2},
-		Deps:  message.After(m1),
-		Kind:  message.KindCommutative,
-		Op:    "inc",
-	}
-	e.ingest(m2) // buffered: m1 missing
-	// Simulate the fetch the patience timer would have issued for m1.
-	e.retainMu.Lock()
-	e.lastFetch[m1] = time.Now()
-	e.retainMu.Unlock()
-	if got := e.fetchBacklog(); got != 1 {
-		t.Fatalf("fetch backlog = %d, want 1", got)
-	}
+// TestLastFetchPrunedOnDelivery is the regression test for the unbounded
+// lastFetch growth: once a fetched-for label is delivered, its rate-limit
+// entry must go away.
+func TestLastFetchPrunedOnDelivery(t *testing.T) {
+	for _, eng := range depEngines {
+		t.Run(eng.name, func(t *testing.T) {
+			e, _ := newCaptureCore(t, eng.build)
+			m1 := message.Label{Origin: "b", Seq: 1}
+			m2 := message.Message{
+				Label: message.Label{Origin: "b", Seq: 2},
+				Deps:  message.After(m1),
+				Kind:  message.KindCommutative,
+				Op:    "inc",
+			}
+			e.ingest(m2) // buffered: m1 missing
+			// Simulate the fetch the patience timer would have issued for m1.
+			e.retainMu.Lock()
+			e.lastFetch[m1] = time.Now()
+			e.retainMu.Unlock()
+			if got := e.fetchBacklog(); got != 1 {
+				t.Fatalf("fetch backlog = %d, want 1", got)
+			}
 
-	// The missing message arrives; both deliver, and the rate-limit entry
-	// for m1 must be pruned with them.
-	e.ingest(message.Message{Label: m1, Kind: message.KindCommutative, Op: "inc"})
-	if !e.Delivered(m1) || !e.Delivered(m2.Label) {
-		t.Fatal("cascade delivery failed")
-	}
-	if got := e.fetchBacklog(); got != 0 {
-		t.Fatalf("fetch backlog after delivery = %d, want 0 (lastFetch leaks)", got)
+			// The missing message arrives; both deliver, and the rate-limit
+			// entry for m1 must be pruned with them.
+			e.ingest(message.Message{Label: m1, Kind: message.KindCommutative, Op: "inc"})
+			if !e.Delivered(m1) || !e.Delivered(m2.Label) {
+				t.Fatal("cascade delivery failed")
+			}
+			if got := e.fetchBacklog(); got != 0 {
+				t.Fatalf("fetch backlog after delivery = %d, want 0 (lastFetch leaks)", got)
+			}
+		})
 	}
 }
 
-// TestOSendLastFetchPrunedWhenOriginLeaves checks the periodic sweep drops
+// TestLastFetchPrunedWhenOriginLeaves checks the periodic sweep drops
 // entries whose retransmission route is no longer a group member (the
 // origin left), as well as entries for labels delivered through a path
-// that bypassed pruneFetched.
-func TestOSendLastFetchPrunedWhenOriginLeaves(t *testing.T) {
-	grp := group.MustNew("g", []string{"a", "b"})
-	conn := newCaptureConn("a")
-	e, err := NewOSend(OSendConfig{
-		Self: "a", Group: grp, Conn: conn,
-		Deliver: func(message.Message) {}, Patience: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
+// that bypassed the delivery-time pruning.
+func TestLastFetchPrunedWhenOriginLeaves(t *testing.T) {
+	for _, eng := range depEngines {
+		t.Run(eng.name, func(t *testing.T) {
+			e, _ := newCaptureCore(t, eng.build)
+			delivered := message.Label{Origin: "b", Seq: 1}
+			e.ingest(message.Message{Label: delivered, Kind: message.KindCommutative, Op: "inc"})
+
+			e.retainMu.Lock()
+			e.lastFetch[delivered] = time.Now()                                // already delivered
+			e.lastFetch[message.Label{Origin: "ghost", Seq: 4}] = time.Now()   // origin not in group
+			e.lastFetch[message.Label{Origin: "ghost~t", Seq: 9}] = time.Now() // layered origin, also gone
+			live := message.Label{Origin: "b", Seq: 99}
+			e.lastFetch[live] = time.Now() // still fetchable: must survive
+			e.retainMu.Unlock()
+
+			e.pruneFetchState()
+
+			e.retainMu.Lock()
+			defer e.retainMu.Unlock()
+			if len(e.lastFetch) != 1 {
+				t.Fatalf("lastFetch has %d entries after sweep, want 1: %v", len(e.lastFetch), e.lastFetch)
+			}
+			if _, ok := e.lastFetch[live]; !ok {
+				t.Fatal("sweep removed a live fetch entry")
+			}
+		})
 	}
-	defer func() { _ = e.Close() }()
+}
 
-	delivered := message.Label{Origin: "b", Seq: 1}
-	e.ingest(message.Message{Label: delivered, Kind: message.KindCommutative, Op: "inc"})
+// TestAdvertSkipsInFlightOwnLabel: Broadcast retains a message before it
+// ingests it, and a peer's advert naming the label in that window must
+// not make the member fetch its own message (the fetched copy would race
+// the self-delivery).
+func TestAdvertSkipsInFlightOwnLabel(t *testing.T) {
+	for _, eng := range depEngines {
+		t.Run(eng.name, func(t *testing.T) {
+			e, conn := newCaptureCore(t, eng.build)
+			own := message.Message{Label: message.Label{Origin: "a", Seq: 1}, Kind: message.KindCommutative, Op: "inc"}
+			e.retainMu.Lock()
+			e.retained[own.Label] = own // retained, not yet ingested
+			e.retainMu.Unlock()
 
-	e.retainMu.Lock()
-	e.lastFetch[delivered] = time.Now()                                // already delivered
-	e.lastFetch[message.Label{Origin: "ghost", Seq: 4}] = time.Now()   // origin not in group
-	e.lastFetch[message.Label{Origin: "ghost~t", Seq: 9}] = time.Now() // layered origin, also gone
-	live := message.Label{Origin: "b", Seq: 99}
-	e.lastFetch[live] = time.Now() // still fetchable: must survive
-	e.retainMu.Unlock()
+			e.handleAdvert("b", map[string]uint64{"a": 1}, map[string]uint64{})
 
-	e.pruneFetchState()
-
-	e.retainMu.Lock()
-	defer e.retainMu.Unlock()
-	if len(e.lastFetch) != 1 {
-		t.Fatalf("lastFetch has %d entries after sweep, want 1: %v", len(e.lastFetch), e.lastFetch)
-	}
-	if _, ok := e.lastFetch[live]; !ok {
-		t.Fatal("sweep removed a live fetch entry")
+			for _, p := range conn.sent() {
+				if len(p) > 0 && p[0] == eng.fetchTag {
+					t.Fatalf("fetched an in-flight own label: frame %v", p)
+				}
+			}
+			if n := e.Snapshot().Get(eng.metrics + "fetches_total"); n != 0 {
+				t.Fatalf("%sfetches_total = %d, want 0", eng.metrics, n)
+			}
+		})
 	}
 }
 
@@ -334,7 +402,7 @@ func TestOSendConcurrentBroadcastRecv(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					_ = e.Metrics()
+					_ = e.Snapshot()
 					_ = e.Delivered(probe)
 					time.Sleep(time.Millisecond)
 				}

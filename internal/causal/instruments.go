@@ -83,11 +83,12 @@ func scanPendingLag(peer string, each func(yield func(origin string, since time.
 	return depth, ageMS
 }
 
-// osendInstruments are OSend's registry-backed instruments. Engines given
-// the same registry share (and therefore aggregate) them; an engine built
-// without a registry gets a private one so its Snapshot and Metrics views
-// stay per-engine.
-type osendInstruments struct {
+// depInstruments are the registry-backed instruments of the dependency
+// core, registered under the engine's metric prefix (causal_osend_ or
+// causal_pccast_). Engines given the same registry share (and therefore
+// aggregate) them; an engine built without a registry gets a private one
+// so its Snapshot stays per-engine.
+type depInstruments struct {
 	delivered     *telemetry.Counter
 	duplicates    *telemetry.Counter
 	fetches       *telemetry.Counter
@@ -101,80 +102,30 @@ type osendInstruments struct {
 	broadcastLat  *telemetry.Histogram
 }
 
-func newOSendInstruments(reg *telemetry.Registry) osendInstruments {
-	return osendInstruments{
-		delivered: reg.Counter("causal_osend_delivered_total",
+func newDepInstruments(reg *telemetry.Registry, prefix string) depInstruments {
+	return depInstruments{
+		delivered: reg.Counter(prefix+"delivered_total",
 			"Messages delivered in causal order."),
-		duplicates: reg.Counter("causal_osend_duplicates_total",
+		duplicates: reg.Counter(prefix+"duplicates_total",
 			"Received messages discarded as already delivered or buffered."),
-		fetches: reg.Counter("causal_osend_fetches_total",
+		fetches: reg.Counter(prefix+"fetches_total",
 			"Retransmission requests issued for missing predecessors."),
-		controlBytes: reg.Counter("causal_osend_control_bytes_total",
-			"Ordering metadata bytes placed on the wire (OccursAfter labels, once per peer)."),
-		stablePruned: reg.Counter("causal_osend_stable_pruned_total",
+		controlBytes: reg.Counter(prefix+"control_bytes_total",
+			"Ordering metadata bytes placed on the wire, once per peer (OSend: OccursAfter labels; PC-cast: constant-size PC headers)."),
+		stablePruned: reg.Counter(prefix+"stable_pruned_total",
 			"Retained messages garbage-collected after every peer's watermark covered them."),
-		pendingDepth: reg.Gauge("causal_osend_pending_depth",
+		pendingDepth: reg.Gauge(prefix+"pending_depth",
 			"Messages currently buffered awaiting a missing predecessor."),
-		pendingMax: reg.Gauge("causal_osend_pending_depth_max",
+		pendingMax: reg.Gauge(prefix+"pending_depth_max",
 			"High-water mark of the pending buffer."),
-		retainedDepth: reg.Gauge("causal_osend_retained_depth",
-			"Own messages retained for retransmission."),
-		sendErrors: reg.Counter("causal_osend_send_errors_total",
-			"Best-effort fan-outs where at least one peer was unreachable."),
-		depWait: reg.Histogram("causal_osend_dep_wait_seconds",
-			"Time a buffered message waited on missing predecessors before delivery.",
-			telemetry.DurationBuckets),
-		broadcastLat: reg.Histogram("causal_osend_delivery_seconds",
-			"Broadcast-call-to-local-self-delivery latency (encode, fan-out, ingest).",
-			telemetry.DurationBuckets),
-	}
-}
-
-// pccastInstruments are PCCast's registry-backed instruments.
-type pccastInstruments struct {
-	delivered     *telemetry.Counter
-	duplicates    *telemetry.Counter
-	forwarded     *telemetry.Counter
-	fetches       *telemetry.Counter
-	controlBytes  *telemetry.Counter
-	stablePruned  *telemetry.Counter
-	pendingDepth  *telemetry.Gauge
-	pendingMax    *telemetry.Gauge
-	retainedDepth *telemetry.Gauge
-	linkBuffered  *telemetry.Gauge
-	sendErrors    *telemetry.Counter
-	depWait       *telemetry.Histogram
-	broadcastLat  *telemetry.Histogram
-}
-
-func newPCCastInstruments(reg *telemetry.Registry) pccastInstruments {
-	return pccastInstruments{
-		delivered: reg.Counter("causal_pccast_delivered_total",
-			"Messages delivered in causal (FIFO-stream) order."),
-		duplicates: reg.Counter("causal_pccast_duplicates_total",
-			"Received frames discarded as already delivered or buffered."),
-		forwarded: reg.Counter("causal_pccast_forwarded_total",
-			"Frames re-emitted to the full group on first receipt (flood dissemination)."),
-		fetches: reg.Counter("causal_pccast_fetches_total",
-			"Retransmission requests issued for missing predecessors."),
-		controlBytes: reg.Counter("causal_pccast_control_bytes_total",
-			"Ordering metadata bytes placed on the wire (constant-size PC headers, once per peer)."),
-		stablePruned: reg.Counter("causal_pccast_stable_pruned_total",
-			"Retained messages garbage-collected after every peer's watermark covered them."),
-		pendingDepth: reg.Gauge("causal_pccast_pending_depth",
-			"Messages currently buffered awaiting a missing predecessor."),
-		pendingMax: reg.Gauge("causal_pccast_pending_depth_max",
-			"High-water mark of the pending buffer."),
-		retainedDepth: reg.Gauge("causal_pccast_retained_depth",
+		retainedDepth: reg.Gauge(prefix+"retained_depth",
 			"Messages retained for retransmission."),
-		linkBuffered: reg.Gauge("causal_pccast_link_buffered",
-			"Data frames buffered on not-yet-established links (join round-trips in flight)."),
-		sendErrors: reg.Counter("causal_pccast_send_errors_total",
+		sendErrors: reg.Counter(prefix+"send_errors_total",
 			"Best-effort fan-outs where at least one peer was unreachable."),
-		depWait: reg.Histogram("causal_pccast_dep_wait_seconds",
+		depWait: reg.Histogram(prefix+"dep_wait_seconds",
 			"Time a buffered message waited on missing predecessors before delivery.",
 			telemetry.DurationBuckets),
-		broadcastLat: reg.Histogram("causal_pccast_delivery_seconds",
+		broadcastLat: reg.Histogram(prefix+"delivery_seconds",
 			"Broadcast-call-to-local-self-delivery latency (encode, fan-out, ingest).",
 			telemetry.DurationBuckets),
 	}
@@ -219,8 +170,7 @@ func (m metaInstruments) add(metaBytes, frames uint64) {
 	m.frames.Add(frames)
 }
 
-// cbcastInstruments are CBCast's registry-backed instruments, nil (no-op)
-// when the engine was built without a registry.
+// cbcastInstruments are CBCast's registry-backed instruments.
 type cbcastInstruments struct {
 	delivered    *telemetry.Counter
 	duplicates   *telemetry.Counter

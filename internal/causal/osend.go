@@ -1,12 +1,7 @@
 package causal
 
 import (
-	"context"
-	"encoding/binary"
 	"fmt"
-	"runtime/pprof"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"causalshare/internal/flightrec"
@@ -35,8 +30,7 @@ type OSendConfig struct {
 	Patience time.Duration
 	// Telemetry is the registry the engine registers its instruments on.
 	// Engines sharing a registry aggregate their counters; when nil the
-	// engine creates a private registry, so Snapshot (and the Metrics
-	// compatibility view) stay per-engine.
+	// engine creates a private registry, so Snapshot stays per-engine.
 	Telemetry *telemetry.Registry
 	// Trace, when non-nil, receives send/deliver/defer/fetch events. A nil
 	// ring disables tracing at zero cost.
@@ -67,80 +61,12 @@ type OSendConfig struct {
 // OSend is the paper's causal broadcast engine: ordering is driven purely
 // by the explicit OccursAfter predicates messages carry. A message is
 // delivered once every label in its predicate has been delivered locally;
-// until then it is buffered. Because the predicate is stable application
-// information, a buffered message's predecessors are guaranteed to exist,
-// so a missing one can always be re-fetched from its origin (the label
-// names it).
-//
-// Locking is split so the two halves of the hot path never contend: the
-// Broadcast path touches only retainMu (retransmission state), the
-// delivery path only deliverMu (buffering state), and the delivered set
-// sits behind its own read-mostly lock so stable-point detectors can poll
-// Delivered without slowing either path. Counters are atomics. The lock
-// hierarchy is deliverMu | retainMu → deliveredMu; deliverMu and retainMu
-// are never held together.
+// until then it is buffered. The holdback, retention, anti-entropy and
+// sync machinery is the shared dependency core (depCore, which documents
+// the locking); OSend adds only its dissemination front end — each
+// message is sent straight to every peer — and its frame dispatch.
 type OSend struct {
-	self     string
-	grp      *group.Group
-	others   []string // cached fan-out targets (the group is immutable)
-	conn     transport.Conn
-	deliver  DeliverFunc
-	patience time.Duration
-	onSync   func(from string, watermarks map[string]uint64)
-
-	closed atomic.Bool
-
-	// deliveredMu guards the delivered-label set, the engine's most read
-	// structure (every ingest probes it, stable-point detectors poll it).
-	deliveredMu sync.RWMutex
-	delivered   *deliveredSet
-
-	// deliverMu guards the delivery buffer and its scratch space.
-	deliverMu   sync.Mutex
-	pending     map[message.Label]*pendingEntry
-	waiting     map[message.Label][]message.Label // missing label -> pending labels blocked on it
-	maxBuffered int
-	cascade     []message.Message   // BFS scratch for deliverLocked
-	readyFree   [][]message.Message // recycled ready batches
-
-	// retainMu guards retransmission state: messages kept for re-fetch,
-	// fetch rate-limiting, and peer watermarks.
-	retainMu  sync.Mutex
-	retained  map[message.Label]message.Message
-	lastFetch map[message.Label]time.Time
-	// peerWM holds, per peer, the delivered watermarks that peer last
-	// advertised; a retained message every peer's watermark covers is
-	// stable and garbage-collected.
-	peerWM map[string]map[string]uint64
-	// down marks peers excluded from the stability quorum (crashed or
-	// shed by the reliability sublayer): a dead member's frozen watermark
-	// must not pin retained history forever. An advert from a down peer
-	// clears the mark — the peer is evidently back.
-	down map[string]bool
-	// fetchSpread rotates dependency fetches across live peers when a
-	// label's origin is down (any retainer can serve it).
-	fetchSpread int
-
-	// reg is the registry ins was registered on (shared or private); trace
-	// is the optional event ring. Instruments and rings are nil-safe, so
-	// the hot paths update them unconditionally.
-	reg    *telemetry.Registry
-	ins    osendInstruments
-	meta   metaInstruments
-	peer   peerInstruments
-	trace  *telemetry.Ring
-	spans  *trace.Tracer
-	flight *flightrec.Recorder
-	wlog   *wal.WAL
-
-	done chan struct{}
-	wg   sync.WaitGroup
-}
-
-type pendingEntry struct {
-	msg     message.Message
-	missing map[message.Label]struct{}
-	since   time.Time
+	depCore
 }
 
 var (
@@ -148,58 +74,22 @@ var (
 	_ Engine      = (*OSend)(nil)
 )
 
-// NewOSend starts an engine; its receive loop runs until Close.
-func NewOSend(cfg OSendConfig) (*OSend, error) {
-	if cfg.Group == nil || !cfg.Group.Contains(cfg.Self) {
-		return nil, fmt.Errorf("causal: %q is not a member of the group", cfg.Self)
-	}
-	if cfg.Conn == nil {
-		return nil, fmt.Errorf("causal: nil conn")
-	}
-	if cfg.Deliver == nil {
-		return nil, fmt.Errorf("causal: nil deliver func")
-	}
-	reg := cfg.Telemetry
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
-	e := &OSend{
-		self:      cfg.Self,
-		grp:       cfg.Group,
-		others:    cfg.Group.Others(cfg.Self),
-		conn:      cfg.Conn,
-		deliver:   cfg.Deliver,
-		patience:  cfg.Patience,
-		onSync:    cfg.OnSync,
-		reg:       reg,
-		ins:       newOSendInstruments(reg),
-		meta:      newMetaInstruments(reg),
-		trace:     cfg.Trace,
-		spans:     cfg.Tracer,
-		flight:    cfg.Flight,
-		wlog:      cfg.Journal,
-		delivered: newDeliveredSet(),
-		pending:   make(map[message.Label]*pendingEntry),
-		waiting:   make(map[message.Label][]message.Label),
-		retained:  make(map[message.Label]message.Message),
-		lastFetch: make(map[message.Label]time.Time),
-		peerWM:    make(map[string]map[string]uint64),
-		down:      make(map[string]bool),
-		done:      make(chan struct{}),
-	}
-	e.peer = newPeerInstruments(reg)
-	registerPeerLag(reg, e.others, e.peerLag)
-	e.wg.Add(1)
-	go e.recvLoop()
-	if e.patience > 0 {
-		e.wg.Add(1)
-		go e.fetchLoop()
-	}
-	return e, nil
+// osendWire keys the dependency core to OSend's frames and metric names.
+var osendWire = depWire{
+	fetch: frameOSendFetch, advert: frameOSendAdvert,
+	syncReq: frameOSendSyncReq, syncResp: frameOSendSyncResp,
+	metrics: "causal_osend_", loop: "osend-recv",
 }
 
-// Self implements Broadcaster.
-func (e *OSend) Self() string { return e.self }
+// NewOSend starts an engine; its receive loop runs until Close.
+func NewOSend(cfg OSendConfig) (*OSend, error) {
+	e := &OSend{}
+	if err := e.init(cfg, osendWire); err != nil {
+		return nil, err
+	}
+	e.start(e.handleFrame, e.antiEntropy)
+	return e, nil
+}
 
 // Broadcast implements Broadcaster. The message is encoded exactly once
 // into a pooled frame that every destination shares (the transport fans
@@ -207,38 +97,16 @@ func (e *OSend) Self() string { return e.self }
 // processed locally through the same delivery logic (self-delivery in
 // causal position).
 func (e *OSend) Broadcast(m message.Message) error {
-	if err := m.Validate(); err != nil {
-		return fmt.Errorf("causal: broadcast: %w", err)
-	}
-	if e.closed.Load() {
-		return ErrClosed
-	}
 	t0 := time.Now()
-	// Span assignment and the SentAt stamp must precede frame sizing: both
-	// ride as trailers, and EncodedSize accounts for them.
-	m.Span = e.spans.Broadcast(m)
-	if m.SentAt == 0 {
-		m.SentAt = t0.UnixNano()
+	if err := e.stamp(&m, t0); err != nil {
+		return err
 	}
-	f := transport.NewFrame(1 + m.EncodedSize())
-	f.B = append(f.B, frameOSendData)
-	var err error
-	f.B, err = m.AppendBinary(f.B)
+	f, err := encodeOSendData(m)
 	if err != nil {
-		f.Release()
 		return fmt.Errorf("causal: encode %v: %w", m.Label, err)
 	}
-
-	e.retainMu.Lock()
-	e.retained[m.Label] = m
-	e.ins.retainedDepth.Set(int64(len(e.retained)))
-	e.retainMu.Unlock()
 	// Ordering metadata on the wire: the OccursAfter labels, once per peer.
-	e.ins.controlBytes.Add(uint64(m.Deps.EncodedSize()) * uint64(len(e.others)))
-	e.meta.add(uint64(m.Deps.EncodedSize()), uint64(len(e.others)))
-	e.meta.msgs.Inc()
-	e.trace.Record(telemetry.EventSend, e.self, m.Label.Origin, m.Label.Seq, 0)
-
+	e.retainOwn(m, uint64(m.Deps.EncodedSize()))
 	err = transport.Multicast(e.conn, e.others, f)
 	f.Release()
 	if err != nil {
@@ -253,258 +121,17 @@ func (e *OSend) Broadcast(m message.Message) error {
 	return nil
 }
 
-// Snapshot returns the engine's registry snapshot — the one snapshot
-// shape shared by every instrumented layer. When the engine was built
-// with a shared registry the snapshot covers everything registered on it.
-func (e *OSend) Snapshot() telemetry.Snapshot { return e.reg.Snapshot() }
-
-// Metrics is the thin compatibility view over Snapshot, preserving the
-// legacy per-engine counter struct. With a shared registry the counter
-// fields aggregate across every engine on it; the buffer-depth fields are
-// always this engine's own.
-func (e *OSend) Metrics() Metrics {
-	s := e.reg.Snapshot()
-	m := Metrics{
-		Delivered:    s.Get("causal_osend_delivered_total"),
-		Duplicates:   s.Get("causal_osend_duplicates_total"),
-		Fetches:      s.Get("causal_osend_fetches_total"),
-		ControlBytes: s.Get("causal_osend_control_bytes_total"),
-		StablePruned: s.Get("causal_osend_stable_pruned_total"),
+// encodeOSendData encodes m as a data frame into a pooled frame.
+func encodeOSendData(m message.Message) (*transport.Frame, error) {
+	f := transport.NewFrame(1 + m.EncodedSize())
+	f.B = append(f.B, frameOSendData)
+	var err error
+	f.B, err = m.AppendBinary(f.B)
+	if err != nil {
+		f.Release()
+		return nil, err
 	}
-	e.deliverMu.Lock()
-	m.Buffered = len(e.pending)
-	m.MaxBuffered = e.maxBuffered
-	e.deliverMu.Unlock()
-	e.retainMu.Lock()
-	m.Retained = len(e.retained)
-	e.retainMu.Unlock()
-	return m
-}
-
-// Delivered reports whether l has been delivered locally; the stable-point
-// detector polls it, so it takes only a read lock on the delivered set.
-func (e *OSend) Delivered(l message.Label) bool {
-	return e.deliveredHas(l)
-}
-
-func (e *OSend) deliveredHas(l message.Label) bool {
-	e.deliveredMu.RLock()
-	ok := e.delivered.Has(l)
-	e.deliveredMu.RUnlock()
-	return ok
-}
-
-func (e *OSend) deliveredAdd(l message.Label) bool {
-	e.deliveredMu.Lock()
-	ok := e.delivered.Add(l)
-	e.deliveredMu.Unlock()
-	return ok
-}
-
-// ForgetRetained drops the local retransmission copy of l (call once l is
-// known stable at all members).
-func (e *OSend) ForgetRetained(l message.Label) {
-	e.retainMu.Lock()
-	delete(e.retained, l)
-	e.ins.retainedDepth.Set(int64(len(e.retained)))
-	e.retainMu.Unlock()
-}
-
-// Frontier returns the engine's delivered watermarks: per origin, every
-// sequence in [1, Frontier[origin]] has been delivered locally. A peer
-// serving a rejoin snapshot pairs this with the total layer's SyncState.
-func (e *OSend) Frontier() map[string]uint64 {
-	e.deliveredMu.RLock()
-	defer e.deliveredMu.RUnlock()
-	return e.delivered.Watermarks()
-}
-
-// SeedFrontier marks every sequence up to wm[origin] as already delivered,
-// per origin. A rejoining member seeds the frontiers its peers report so
-// pre-crash history — whose effects it recovers through the state
-// snapshot, not re-delivery — is treated as old news; buffered messages
-// whose missing predecessors the seed covered deliver immediately.
-func (e *OSend) SeedFrontier(wm map[string]uint64) {
-	e.deliveredMu.Lock()
-	for origin, seq := range wm {
-		e.delivered.Seed(origin, seq)
-	}
-	e.deliveredMu.Unlock()
-	// The auditor must learn the watermarks before the release pass below
-	// delivers anything that depends on seeded history.
-	e.spans.SeedDelivered(wm)
-	e.releaseSeeded()
-}
-
-// releaseSeeded re-checks the holdback buffer after a frontier seed:
-// dependencies the seed covered are satisfied, and fully satisfied
-// messages deliver with their usual cascade.
-func (e *OSend) releaseSeeded() {
-	e.deliverMu.Lock()
-	var freed []message.Message
-	for l, entry := range e.pending {
-		for d := range entry.missing {
-			if e.deliveredHas(d) {
-				delete(entry.missing, d)
-			}
-		}
-		if len(entry.missing) == 0 {
-			delete(e.pending, l)
-			e.ins.depWait.ObserveSince(entry.since)
-			freed = append(freed, entry.msg)
-		}
-	}
-	for d := range e.waiting {
-		if e.deliveredHas(d) {
-			delete(e.waiting, d)
-		}
-	}
-	var ready []message.Message
-	if len(freed) != 0 {
-		ready = e.takeReadyLocked()
-		for _, m := range freed {
-			ready = e.deliverLocked(ready, m)
-		}
-		e.ins.pendingDepth.Set(int64(len(e.pending)))
-	}
-	e.deliverMu.Unlock()
-	e.observeVisibility(ready)
-	for _, r := range ready {
-		e.deliver(r)
-		// Journaled AFTER the callback: a durable delivery claim implies
-		// everything the upper layer journaled for r (e.g. the
-		// sequencer's holdback payload) sits earlier in the log, so a
-		// torn tail can never leave a claim without its payload.
-		e.wlog.Deliver(r.Label)
-	}
-	if ready != nil {
-		e.pruneFetched(ready)
-		e.putReady(ready)
-	}
-}
-
-// RequestSync asks every peer for a state-sync snapshot (their delivered
-// watermarks plus the retained tail they can serve). Responses arrive as
-// sync frames handled on the receive goroutine: tail fetches are issued
-// and the OnSync callback (if any) invoked. Responses deliberately do NOT
-// seed the delivered frontier — by the time one arrives the peer's
-// watermarks may have advanced past messages whose effects the caller's
-// resume snapshot predates, and seeding would skip them silently. Seeding
-// is the caller's job via SeedFrontier, read consistently with whatever
-// layer snapshot it resumes from. The fan-out is best-effort; callers
-// re-invoke if no response arrives.
-func (e *OSend) RequestSync() error {
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	f := transport.StaticFrame([]byte{frameOSendSyncReq})
-	err := transport.Multicast(e.conn, e.others, f)
-	f.Release()
-	return err
-}
-
-// SyncWith asks one peer for a state-sync snapshot — the targeted variant
-// of RequestSync. The reliability sublayer calls it (via its OnResync
-// hook) when the link from peer skipped irrecoverable sequences: only
-// that peer's retained tail needs re-fetching, not the whole group's.
-func (e *OSend) SyncWith(peer string) error {
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	return e.conn.Send(peer, []byte{frameOSendSyncReq})
-}
-
-// serveSync answers a rejoining peer's sync request with this member's
-// retained tail (highest retained seq per origin) and delivered
-// watermarks — the advert payload, sent unicast under the sync-resp tag so
-// the requester knows it may seed the watermarks rather than merely prune.
-func (e *OSend) serveSync(requester string) {
-	e.retainMu.Lock()
-	maxSeq := make(map[string]uint64, len(e.retained))
-	for l := range e.retained {
-		if l.Seq > maxSeq[l.Origin] {
-			maxSeq[l.Origin] = l.Seq
-		}
-	}
-	e.retainMu.Unlock()
-	e.deliveredMu.RLock()
-	wm := e.delivered.Watermarks()
-	e.deliveredMu.RUnlock()
-	frame := []byte{frameOSendSyncResp}
-	frame = appendOriginSeqMap(frame, maxSeq)
-	frame = appendOriginSeqMap(frame, wm)
-	_ = e.conn.Send(requester, frame) // best effort; requester retries
-}
-
-// MarkDown sets or clears a peer's down mark. A down peer is excluded
-// from the stability quorum (its frozen watermark would otherwise pin
-// retained history forever) and dependency fetches for labels it
-// originated are spread across live peers instead — with group-wide
-// retention any of them may hold a copy. The failure detector or the
-// reliability sublayer's shed verdicts drive this; an advert arriving
-// from a down peer clears the mark on its own.
-func (e *OSend) MarkDown(peer string, down bool) {
-	e.retainMu.Lock()
-	if down {
-		e.down[peer] = true
-	} else {
-		delete(e.down, peer)
-	}
-	e.retainMu.Unlock()
-	e.wlog.Member(peer, down)
-}
-
-// handleSyncResp applies one peer's snapshot through the normal advert
-// path: the retained tail above the local (seeded) watermark is fetched
-// and stability bookkeeping stays current. It never seeds the delivered
-// frontier itself — see RequestSync for why.
-func (e *OSend) handleSyncResp(from string, retained, watermarks map[string]uint64) {
-	e.handleAdvert(from, retained, watermarks)
-	if e.onSync != nil {
-		e.onSync(from, watermarks)
-	}
-}
-
-// Close implements Broadcaster.
-func (e *OSend) Close() error {
-	if e.closed.Swap(true) {
-		return nil
-	}
-	close(e.done)
-	err := e.conn.Close()
-	e.wg.Wait()
-	return err
-}
-
-func (e *OSend) recvLoop() {
-	defer e.wg.Done()
-	// Label the delivery goroutine so CPU/goroutine profiles attribute
-	// holdback and cascade work to the owning member.
-	pprof.Do(context.Background(), pprof.Labels("loop", "osend-recv", "member", e.self), func(context.Context) {
-		dec := message.NewDecoder()
-		if br, ok := e.conn.(transport.BatchRecver); ok {
-			var batch []transport.Envelope
-			for {
-				var err error
-				batch, err = br.RecvBatch(batch)
-				if err != nil {
-					return
-				}
-				for i := range batch {
-					e.handleFrame(dec, &batch[i])
-					batch[i].Release()
-				}
-			}
-		}
-		for {
-			env, err := e.conn.Recv()
-			if err != nil {
-				return
-			}
-			e.handleFrame(dec, &env)
-			env.Release()
-		}
-	})
+	return f, nil
 }
 
 // handleFrame dispatches one inbound frame. The envelope's payload is only
@@ -527,547 +154,20 @@ func (e *OSend) handleFrame(dec *message.Decoder, env *transport.Envelope) {
 			return
 		}
 		e.serveFetch(env.From, l)
-	case frameOSendAdvert:
-		retained, watermarks, err := decodeAdvert(body)
-		if err != nil {
-			return
-		}
-		e.handleAdvert(env.From, retained, watermarks)
-	case frameOSendSyncReq:
-		if len(body) != 0 {
-			return
-		}
-		e.serveSync(env.From)
-	case frameOSendSyncResp:
-		retained, watermarks, err := decodeAdvert(body)
-		if err != nil {
-			return
-		}
-		e.handleSyncResp(env.From, retained, watermarks)
 	default:
-		// Unknown frame kinds are ignored for forward compatibility.
+		e.handleControl(env.From, kind, body)
 	}
-}
-
-// takeReadyLocked pops a recycled delivery batch. Caller holds deliverMu.
-func (e *OSend) takeReadyLocked() []message.Message {
-	if n := len(e.readyFree); n > 0 {
-		buf := e.readyFree[n-1]
-		e.readyFree = e.readyFree[:n-1]
-		return buf
-	}
-	return nil
-}
-
-// putReady recycles a delivery batch once its messages are handed out.
-func (e *OSend) putReady(buf []message.Message) {
-	clear(buf)
-	e.deliverMu.Lock()
-	e.readyFree = append(e.readyFree, buf[:0])
-	e.deliverMu.Unlock()
-}
-
-// ingest runs the delivery algorithm on one received (or locally
-// broadcast) message, cascading through any pending messages it releases.
-func (e *OSend) ingest(m message.Message) {
-	if e.closed.Load() {
-		return
-	}
-	// Group-wide retention: with anti-entropy armed, every member keeps a
-	// serveable copy of every message it sees until stability proves the
-	// whole group delivered it, so a fetch is answerable by ANY retainer
-	// and history survives its origin's crash. (Origin-only retention
-	// strands a dead member's tail: survivors that delivered it could not
-	// serve the ones that did not.) Without patience nothing ever fetches,
-	// so the copies would be pure memory overhead — skip them.
-	if e.patience > 0 {
-		e.retainMu.Lock()
-		if _, ok := e.retained[m.Label]; !ok {
-			e.retained[m.Label] = m
-			e.ins.retainedDepth.Set(int64(len(e.retained)))
-		}
-		e.retainMu.Unlock()
-	}
-	e.deliverMu.Lock()
-	if e.deliveredHas(m.Label) {
-		e.ins.duplicates.Inc()
-		e.deliverMu.Unlock()
-		return
-	}
-	if _, buffered := e.pending[m.Label]; buffered {
-		e.ins.duplicates.Inc()
-		e.deliverMu.Unlock()
-		return
-	}
-	e.spans.Enqueue(m)
-	// The common case has every predecessor delivered; allocate the
-	// missing-set only when something actually is missing.
-	var missing map[message.Label]struct{}
-	for _, d := range m.Deps.Labels() {
-		if !e.deliveredHas(d) {
-			if missing == nil {
-				missing = make(map[message.Label]struct{}, m.Deps.Len())
-			}
-			missing[d] = struct{}{}
-		}
-	}
-	if missing != nil {
-		e.pending[m.Label] = &pendingEntry{msg: m, missing: missing, since: time.Now()}
-		for d := range missing {
-			e.waiting[d] = append(e.waiting[d], m.Label)
-			e.flight.Holdback(m.Label, d)
-		}
-		depth := len(e.pending)
-		if depth > e.maxBuffered {
-			e.maxBuffered = depth
-		}
-		e.deliverMu.Unlock()
-		e.ins.pendingDepth.Set(int64(depth))
-		e.ins.pendingMax.SetMax(int64(depth))
-		e.trace.Record(telemetry.EventDefer, e.self, m.Label.Origin, m.Label.Seq, int64(depth))
-		return
-	}
-	ready := e.deliverLocked(e.takeReadyLocked(), m)
-	if len(ready) > 1 {
-		// The cascade drained buffered messages; refresh the depth gauge.
-		e.ins.pendingDepth.Set(int64(len(e.pending)))
-	}
-	e.deliverMu.Unlock()
-	e.observeVisibility(ready)
-	for _, r := range ready {
-		e.deliver(r)
-		// Journaled AFTER the callback: a durable delivery claim implies
-		// everything the upper layer journaled for r (e.g. the
-		// sequencer's holdback payload) sits earlier in the log, so a
-		// torn tail can never leave a claim without its payload.
-		e.wlog.Deliver(r.Label)
-	}
-	e.pruneFetched(ready)
-	e.putReady(ready)
-}
-
-// observeVisibility records send→deliver latency toward each remote
-// origin in the batch. Alloc-free (see peerInstruments.observe).
-func (e *OSend) observeVisibility(ready []message.Message) {
-	if len(ready) == 0 {
-		return
-	}
-	now := time.Now().UnixNano()
-	for i := range ready {
-		e.peer.observe(e.self, &ready[i], now)
-	}
-}
-
-// peerLag scans the holdback buffer for messages from peer: the
-// snapshot-time feed for the causal_peer_* gauges.
-func (e *OSend) peerLag(peer string) (depth, ageMS int64) {
-	return scanPendingLag(peer, func(yield func(origin string, since time.Time)) {
-		e.deliverMu.Lock()
-		defer e.deliverMu.Unlock()
-		for _, entry := range e.pending {
-			yield(entry.msg.Label.Origin, entry.since)
-		}
-	})
-}
-
-// deliverLocked marks m delivered and appends, in order, m plus every
-// buffered message transitively released by it to out. Caller holds
-// deliverMu.
-func (e *OSend) deliverLocked(out []message.Message, m message.Message) []message.Message {
-	queue := append(e.cascade[:0], m)
-	for i := 0; i < len(queue); i++ {
-		cur := queue[i]
-		if !e.deliveredAdd(cur.Label) {
-			continue
-		}
-		e.ins.delivered.Inc()
-		e.trace.Record(telemetry.EventDeliver, e.self, cur.Label.Origin, cur.Label.Seq, 0)
-		e.spans.Deliver(cur)
-		out = append(out, cur)
-		blocked, ok := e.waiting[cur.Label]
-		if !ok {
-			continue
-		}
-		delete(e.waiting, cur.Label)
-		for _, bl := range blocked {
-			entry, ok := e.pending[bl]
-			if !ok {
-				continue
-			}
-			delete(entry.missing, cur.Label)
-			if e.spans != nil {
-				// Attribute the holdback wait to the edge that just resolved.
-				e.spans.DepResolved(bl, cur.Label, time.Since(entry.since))
-			}
-			if len(entry.missing) == 0 {
-				delete(e.pending, bl)
-				e.ins.depWait.ObserveSince(entry.since)
-				queue = append(queue, entry.msg)
-			}
-		}
-	}
-	clear(queue)
-	e.cascade = queue[:0]
-	return out
-}
-
-// pruneFetched drops fetch rate-limit entries for labels that just got
-// delivered, so the lastFetch map tracks only live gaps instead of
-// growing with history.
-func (e *OSend) pruneFetched(ready []message.Message) {
-	e.retainMu.Lock()
-	if len(e.lastFetch) != 0 {
-		for i := range ready {
-			delete(e.lastFetch, ready[i].Label)
-		}
-	}
-	e.retainMu.Unlock()
-}
-
-// fetchLoop periodically requests retransmission of predecessors that
-// pending messages have been waiting on longer than the patience window.
-func (e *OSend) fetchLoop() {
-	defer e.wg.Done()
-	interval := e.patience / 2
-	if interval <= 0 {
-		interval = e.patience
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-e.done:
-			return
-		case now := <-ticker.C:
-			e.fetchMissing(now)
-			e.advertise()
-			e.pruneFetchState()
-		}
-	}
-}
-
-// pruneFetchState sweeps fetch rate-limit entries that can never be acted
-// on again: labels already delivered (covered elsewhere but also swept
-// here for entries created by adverts that raced a delivery) and labels
-// whose retransmission route left the group.
-func (e *OSend) pruneFetchState() {
-	e.retainMu.Lock()
-	for l := range e.lastFetch {
-		if e.deliveredHas(l) || !e.grp.Contains(RouteOrigin(l.Origin)) {
-			delete(e.lastFetch, l)
-		}
-	}
-	e.retainMu.Unlock()
-}
-
-// fetchBacklog reports the number of tracked fetch rate-limit entries
-// (test hook for the pruning regression tests).
-func (e *OSend) fetchBacklog() int {
-	e.retainMu.Lock()
-	defer e.retainMu.Unlock()
-	return len(e.lastFetch)
-}
-
-// advertise sends every peer (a) the highest retained sequence number per
-// origin this member has broadcast under, and (b) this member's delivered
-// watermarks. Peers use (a) to detect tail losses — dropped messages that
-// no later dependency ever names — and fetch them; (b) drives stability
-// garbage collection: a retained message whose sequence every peer's
-// watermark covers can never be re-fetched, so the copy is dropped.
-// Dependency-driven fetching covers every loss that *is* referenced; the
-// adverts are the anti-entropy half of the engine's reliability.
-func (e *OSend) advertise() {
-	if e.closed.Load() {
-		return
-	}
-	e.retainMu.Lock()
-	maxSeq := make(map[string]uint64)
-	for l := range e.retained {
-		if l.Seq > maxSeq[l.Origin] {
-			maxSeq[l.Origin] = l.Seq
-		}
-	}
-	e.retainMu.Unlock()
-	e.deliveredMu.RLock()
-	wm := e.delivered.Watermarks()
-	e.deliveredMu.RUnlock()
-	if len(maxSeq) == 0 && len(wm) == 0 {
-		return
-	}
-	frame := encodeAdvert(maxSeq, wm)
-	f := transport.StaticFrame(frame)
-	_ = transport.Multicast(e.conn, e.others, f) // best effort; re-sent next tick
-	f.Release()
-}
-
-// handleAdvert fetches, from the advertising member, any sequence numbers
-// it claims to retain that are neither delivered nor pending locally, and
-// garbage-collects retained messages the advertised watermarks prove
-// stable.
-func (e *OSend) handleAdvert(from string, retained, watermarks map[string]uint64) {
-	const maxFetchPerAdvert = 32
-	now := time.Now()
-	var candidates []message.Label
-scan:
-	for origin, maxSeq := range retained {
-		for seq := e.deliveredWatermark(origin) + 1; seq <= maxSeq; seq++ {
-			l := message.Label{Origin: origin, Seq: seq}
-			if e.deliveredHas(l) || e.isPending(l) {
-				continue
-			}
-			candidates = append(candidates, l)
-			if len(candidates) >= maxFetchPerAdvert {
-				break scan
-			}
-		}
-	}
-	var fetches []message.Label
-	e.retainMu.Lock()
-	for _, l := range candidates {
-		if last, ok := e.lastFetch[l]; ok && now.Sub(last) < e.patience {
-			continue
-		}
-		e.lastFetch[l] = now
-		fetches = append(fetches, l)
-		e.ins.fetches.Inc()
-		e.trace.Record(telemetry.EventFetch, e.self, l.Origin, l.Seq, 0)
-		e.flight.Fetch(l, from)
-	}
-	e.peerWM[from] = watermarks
-	delete(e.down, from) // an advertising peer is evidently alive
-	e.pruneStableLocked()
-	e.retainMu.Unlock()
-	for _, l := range fetches {
-		frame := append([]byte{frameOSendFetch}, encodeLabel(nil, l)...)
-		_ = e.conn.Send(from, frame) // best effort; retried next advert
-	}
-}
-
-func (e *OSend) deliveredWatermark(origin string) uint64 {
-	e.deliveredMu.RLock()
-	wm := e.delivered.Watermark(origin)
-	e.deliveredMu.RUnlock()
-	return wm
-}
-
-func (e *OSend) isPending(l message.Label) bool {
-	e.deliverMu.Lock()
-	_, ok := e.pending[l]
-	e.deliverMu.Unlock()
-	return ok
-}
-
-// pruneStableLocked drops retained messages whose sequence every peer's
-// advertised watermark covers: all members delivered them, so no fetch
-// can ever name them again. Peers marked down are excluded from the
-// quorum — a crashed member's frozen watermark must not pin the whole
-// group's history; if it returns it recovers by snapshot, not by fetch.
-// Caller holds retainMu.
-func (e *OSend) pruneStableLocked() {
-	for _, p := range e.others {
-		if e.down[p] {
-			continue
-		}
-		if _, ok := e.peerWM[p]; !ok {
-			return // need evidence from every live peer before anything is stable
-		}
-	}
-	for l := range e.retained {
-		stable := true
-		for _, p := range e.others {
-			if e.down[p] {
-				continue
-			}
-			wm, ok := e.peerWM[p]
-			if !ok || wm[l.Origin] < l.Seq {
-				stable = false
-				break
-			}
-		}
-		if stable {
-			delete(e.retained, l)
-			delete(e.lastFetch, l)
-			e.ins.stablePruned.Inc()
-		}
-	}
-	e.ins.retainedDepth.Set(int64(len(e.retained)))
-}
-
-func encodeAdvert(retained, watermarks map[string]uint64) []byte {
-	return encodeAdvertKind(frameOSendAdvert, retained, watermarks)
-}
-
-// encodeAdvertKind builds an advert frame under any engine's tag; the body
-// layout (two origin→seq maps) is shared across engines.
-func encodeAdvertKind(kind byte, retained, watermarks map[string]uint64) []byte {
-	frame := []byte{kind}
-	frame = appendOriginSeqMap(frame, retained)
-	frame = appendOriginSeqMap(frame, watermarks)
-	return frame
-}
-
-func appendOriginSeqMap(buf []byte, m map[string]uint64) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(m)))
-	for origin, seq := range m {
-		buf = binary.AppendUvarint(buf, uint64(len(origin)))
-		buf = append(buf, origin...)
-		buf = binary.AppendUvarint(buf, seq)
-	}
-	return buf
-}
-
-func decodeAdvert(body []byte) (retained, watermarks map[string]uint64, err error) {
-	retained, body, err = readOriginSeqMap(body)
-	if err != nil {
-		return nil, nil, err
-	}
-	watermarks, body, err = readOriginSeqMap(body)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(body) != 0 {
-		return nil, nil, fmt.Errorf("causal: %d trailing advert bytes", len(body))
-	}
-	return retained, watermarks, nil
-}
-
-func readOriginSeqMap(body []byte) (map[string]uint64, []byte, error) {
-	n, used := binary.Uvarint(body)
-	if used <= 0 {
-		return nil, nil, fmt.Errorf("causal: truncated advert count")
-	}
-	body = body[used:]
-	// Each entry takes at least 2 bytes; reject counts that cannot fit
-	// before sizing any allocation.
-	if n > uint64(len(body))/2 {
-		return nil, nil, fmt.Errorf("causal: advert count %d exceeds frame", n)
-	}
-	out := make(map[string]uint64, n)
-	for i := uint64(0); i < n; i++ {
-		ol, used := binary.Uvarint(body)
-		if used <= 0 || uint64(len(body)-used) < ol {
-			return nil, nil, fmt.Errorf("causal: truncated advert origin")
-		}
-		origin := string(body[used : used+int(ol)])
-		body = body[used+int(ol):]
-		seq, used := binary.Uvarint(body)
-		if used <= 0 {
-			return nil, nil, fmt.Errorf("causal: truncated advert seq")
-		}
-		body = body[used:]
-		out[origin] = seq
-	}
-	return out, body, nil
-}
-
-func (e *OSend) fetchMissing(now time.Time) {
-	type fetch struct {
-		to string
-		l  message.Label
-	}
-	var candidates []fetch
-	e.deliverMu.Lock()
-	for _, entry := range e.pending {
-		if now.Sub(entry.since) < e.patience {
-			continue
-		}
-		for d := range entry.missing {
-			to := RouteOrigin(d.Origin)
-			if to == e.self || !e.grp.Contains(to) {
-				continue
-			}
-			candidates = append(candidates, fetch{to: to, l: d})
-		}
-	}
-	e.deliverMu.Unlock()
-	var fetches []fetch
-	e.retainMu.Lock()
-	for _, c := range candidates {
-		if last, ok := e.lastFetch[c.l]; ok && now.Sub(last) < e.patience {
-			continue
-		}
-		if e.down[c.to] {
-			// The origin is down; with group-wide retention any live peer
-			// may hold a copy, so rotate the request across them.
-			if alt := e.altRouteLocked(c.to); alt != "" {
-				c.to = alt
-			}
-		}
-		e.lastFetch[c.l] = now
-		fetches = append(fetches, c)
-		e.ins.fetches.Inc()
-		e.trace.Record(telemetry.EventFetch, e.self, c.l.Origin, c.l.Seq, 0)
-		e.flight.Fetch(c.l, c.to)
-	}
-	e.retainMu.Unlock()
-	for _, f := range fetches {
-		frame := append([]byte{frameOSendFetch}, encodeLabel(nil, f.l)...)
-		_ = e.conn.Send(f.to, frame) // best effort; retried next tick
-	}
-}
-
-// altRouteLocked picks the next live peer in rotation, skipping avoid.
-// Caller holds retainMu.
-func (e *OSend) altRouteLocked(avoid string) string {
-	n := len(e.others)
-	for i := 0; i < n; i++ {
-		p := e.others[(e.fetchSpread+i)%n]
-		if p != avoid && !e.down[p] {
-			e.fetchSpread = (e.fetchSpread + i + 1) % n
-			return p
-		}
-	}
-	return ""
 }
 
 func (e *OSend) serveFetch(requester string, l message.Label) {
-	e.retainMu.Lock()
-	m, ok := e.retained[l]
-	e.retainMu.Unlock()
+	m, ok := e.retainedCopy(l)
 	if !ok {
 		return
 	}
-	f := transport.NewFrame(1 + m.EncodedSize())
-	f.B = append(f.B, frameOSendData)
-	var err error
-	f.B, err = m.AppendBinary(f.B)
+	f, err := encodeOSendData(m)
 	if err != nil {
-		f.Release()
 		return
 	}
 	_ = e.conn.Send(requester, f.B) // best effort
 	f.Release()
-}
-
-// RouteOrigin maps a label origin to the transport id retransmission
-// requests are sent to. '~' is reserved as a namespace separator: layers
-// stacked above the engine (e.g. the total-order layer) label their
-// traffic "<member>~<layer>", and fetches route to <member>.
-func RouteOrigin(origin string) string {
-	for i := 0; i < len(origin); i++ {
-		if origin[i] == '~' {
-			return origin[:i]
-		}
-	}
-	return origin
-}
-
-func encodeLabel(buf []byte, l message.Label) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(l.Origin)))
-	buf = append(buf, l.Origin...)
-	return binary.AppendUvarint(buf, l.Seq)
-}
-
-func decodeLabel(data []byte) (message.Label, []byte, error) {
-	n, used := binary.Uvarint(data)
-	if used <= 0 || uint64(len(data)-used) < n {
-		return message.Nil, nil, fmt.Errorf("causal: truncated label origin")
-	}
-	origin := string(data[used : used+int(n)])
-	data = data[used+int(n):]
-	seq, used := binary.Uvarint(data)
-	if used <= 0 {
-		return message.Nil, nil, fmt.Errorf("causal: truncated label seq")
-	}
-	return message.Label{Origin: origin, Seq: seq}, data[used:], nil
 }

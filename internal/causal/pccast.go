@@ -1,11 +1,8 @@
 package causal
 
 import (
-	"context"
 	"fmt"
-	"runtime/pprof"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"causalshare/internal/flightrec"
@@ -80,27 +77,22 @@ type PCCastConfig struct {
 // Two paths bypass stream order and therefore need the safety net: refill
 // frames (retransmissions served from retention buffers, marked
 // Refill in the PC header and never forwarded) and post-rejoin catch-up.
-// The engine keeps OSend's dependency holdback for exactly these — a
-// message whose OccursAfter labels are not yet delivered buffers until
-// they are, whatever link it arrived on.
+// The engine embeds the same dependency core as OSend (depCore) for
+// exactly these — a message whose OccursAfter labels are not yet
+// delivered buffers until they are, whatever link it arrived on. On FIFO
+// links the predicate is already satisfied in the common case and the
+// holdback is pass-through.
 //
 // Joins and leaves use buffered link establishment: when a peer is marked
 // back up, its data frames are buffered until a join-request/response
 // round-trip completes (the response carries the peer's delivered
 // watermarks, priming anti-entropy), then drain in receipt order.
 //
-// Lock hierarchy: deliverMu | retainMu | linkMu → deliveredMu; sendMu is a
-// leaf taken only around full-group data fan-outs.
+// Locking: the core's hierarchy (see depCore) plus two front-end locks
+// beside it: linkMu, which guards link establishment state, and outMu, a
+// leaf that guards the outbox.
 type PCCast struct {
-	self     string
-	grp      *group.Group
-	others   []string // cached fan-out targets (the group is immutable)
-	conn     transport.Conn
-	deliver  DeliverFunc
-	patience time.Duration
-	onSync   func(from string, watermarks map[string]uint64)
-
-	closed atomic.Bool
+	depCore
 
 	// outbox is the engine's outgoing data stream: Broadcast and forward
 	// enqueue encoded frames, and one sender goroutine drains them into
@@ -116,42 +108,13 @@ type PCCast struct {
 	outHead   int
 	outClosed bool
 
-	// deliveredMu guards the delivered-label set.
-	deliveredMu sync.RWMutex
-	delivered   *deliveredSet
-
-	// deliverMu guards the delivery buffer and its scratch space.
-	deliverMu   sync.Mutex
-	pending     map[message.Label]*pendingEntry
-	waiting     map[message.Label][]message.Label
-	maxBuffered int
-	cascade     []message.Message
-	readyFree   [][]message.Message
-
-	// retainMu guards retransmission state (see OSend for field docs).
-	retainMu    sync.Mutex
-	retained    map[message.Label]message.Message
-	lastFetch   map[message.Label]time.Time
-	peerWM      map[string]map[string]uint64
-	down        map[string]bool
-	fetchSpread int
-
 	// linkMu guards per-peer link establishment state.
 	linkMu  sync.Mutex
 	links   map[string]*pcLink
 	linkBuf int // total frames buffered across unestablished links
 
-	reg    *telemetry.Registry
-	ins    pccastInstruments
-	meta   metaInstruments
-	peer   peerInstruments
-	trace  *telemetry.Ring
-	spans  *trace.Tracer
-	flight *flightrec.Recorder
-	wlog   *wal.WAL
-
-	done chan struct{}
-	wg   sync.WaitGroup
+	forwarded    *telemetry.Counter
+	linkBuffered *telemetry.Gauge
 }
 
 // pcLink is one inbound link's establishment state. Links are established
@@ -177,53 +140,33 @@ var (
 	_ Engine      = (*PCCast)(nil)
 )
 
+// pccastWire keys the dependency core to PC-cast's frames and metric names.
+var pccastWire = depWire{
+	fetch: framePCCastFetch, advert: framePCCastAdvert,
+	syncReq: framePCCastSyncReq, syncResp: framePCCastSyncResp,
+	metrics: "causal_pccast_", loop: "pccast-recv",
+}
+
 // NewPCCast starts an engine; its receive loop runs until Close. It fails
 // fast when the conn does not guarantee reliable FIFO links — the one
 // property the engine's correctness rests on.
 func NewPCCast(cfg PCCastConfig) (*PCCast, error) {
-	if cfg.Group == nil || !cfg.Group.Contains(cfg.Self) {
-		return nil, fmt.Errorf("causal: %q is not a member of the group", cfg.Self)
-	}
-	if cfg.Conn == nil {
-		return nil, fmt.Errorf("causal: nil conn")
-	}
-	if cfg.Deliver == nil {
-		return nil, fmt.Errorf("causal: nil deliver func")
-	}
-	if !transport.IsFIFO(cfg.Conn) {
+	if cfg.Conn != nil && !transport.IsFIFO(cfg.Conn) {
 		return nil, fmt.Errorf("causal: pccast requires reliable FIFO links; wrap the conn in reliable.Wrap")
 	}
-	reg := cfg.Telemetry
-	if reg == nil {
-		reg = telemetry.NewRegistry()
+	e := &PCCast{links: make(map[string]*pcLink)}
+	err := e.init(OSendConfig{
+		Self: cfg.Self, Group: cfg.Group, Conn: cfg.Conn, Deliver: cfg.Deliver,
+		Patience: cfg.Patience, Telemetry: cfg.Telemetry, Trace: cfg.Trace,
+		Tracer: cfg.Tracer, Flight: cfg.Flight, Journal: cfg.Journal, OnSync: cfg.OnSync,
+	}, pccastWire)
+	if err != nil {
+		return nil, err
 	}
-	e := &PCCast{
-		self:      cfg.Self,
-		grp:       cfg.Group,
-		others:    cfg.Group.Others(cfg.Self),
-		conn:      cfg.Conn,
-		deliver:   cfg.Deliver,
-		patience:  cfg.Patience,
-		onSync:    cfg.OnSync,
-		reg:       reg,
-		ins:       newPCCastInstruments(reg),
-		meta:      newMetaInstruments(reg),
-		trace:     cfg.Trace,
-		spans:     cfg.Tracer,
-		flight:    cfg.Flight,
-		wlog:      cfg.Journal,
-		delivered: newDeliveredSet(),
-		pending:   make(map[message.Label]*pendingEntry),
-		waiting:   make(map[message.Label][]message.Label),
-		retained:  make(map[message.Label]message.Message),
-		lastFetch: make(map[message.Label]time.Time),
-		peerWM:    make(map[string]map[string]uint64),
-		down:      make(map[string]bool),
-		links:     make(map[string]*pcLink),
-		done:      make(chan struct{}),
-	}
-	e.peer = newPeerInstruments(reg)
-	registerPeerLag(reg, e.others, e.peerLag)
+	e.forwarded = e.reg.Counter("causal_pccast_forwarded_total",
+		"Frames re-emitted to the full group on first receipt (flood dissemination).")
+	e.linkBuffered = e.reg.Gauge("causal_pccast_link_buffered",
+		"Data frames buffered on not-yet-established links (join round-trips in flight).")
 	e.outCond = sync.NewCond(&e.outMu)
 	if cfg.Tracker != nil {
 		cfg.Tracker.Subscribe(func(id string, up bool) {
@@ -232,56 +175,30 @@ func NewPCCast(cfg PCCastConfig) (*PCCast, error) {
 			}
 		})
 	}
-	e.wg.Add(2)
-	go e.recvLoop()
+	e.wg.Add(1)
 	go e.sendLoop()
-	if e.patience > 0 {
-		e.wg.Add(1)
-		go e.fetchLoop()
-	}
+	e.start(e.handleFrame, func(now time.Time) {
+		e.antiEntropy(now)
+		e.repingLinks()
+	})
 	return e, nil
 }
-
-// Self implements Broadcaster.
-func (e *PCCast) Self() string { return e.self }
 
 // Broadcast implements Broadcaster. The message goes out under a
 // zero-valued PC header — one byte of ordering metadata regardless of
 // group size — before local delivery, so anything the delivery triggers
 // lands later in this member's FIFO stream.
 func (e *PCCast) Broadcast(m message.Message) error {
-	if err := m.Validate(); err != nil {
-		return fmt.Errorf("causal: broadcast: %w", err)
-	}
-	if e.closed.Load() {
-		return ErrClosed
-	}
 	t0 := time.Now()
-	m.Span = e.spans.Broadcast(m)
-	if m.SentAt == 0 {
-		m.SentAt = t0.UnixNano()
+	if err := e.stamp(&m, t0); err != nil {
+		return err
 	}
 	hdr := message.PCHeader{}
-	f := transport.NewFrame(1 + hdr.EncodedSize() + m.EncodedSize())
-	f.B = append(f.B, framePCCastData)
-	f.B = message.AppendPCHeader(f.B, hdr)
-	var err error
-	f.B, err = m.AppendBinary(f.B)
+	f, err := encodePCData(m, hdr)
 	if err != nil {
-		f.Release()
 		return fmt.Errorf("causal: encode %v: %w", m.Label, err)
 	}
-
-	e.retainMu.Lock()
-	e.retained[m.Label] = m
-	e.ins.retainedDepth.Set(int64(len(e.retained)))
-	e.retainMu.Unlock()
-	metaBytes := uint64(hdr.EncodedSize())
-	e.ins.controlBytes.Add(metaBytes * uint64(len(e.others)))
-	e.meta.add(metaBytes, uint64(len(e.others)))
-	e.meta.msgs.Inc()
-	e.trace.Record(telemetry.EventSend, e.self, m.Label.Origin, m.Label.Seq, 0)
-
+	e.retainOwn(m, uint64(hdr.EncodedSize()))
 	// Into the stream BEFORE self-delivery: anything the delivery
 	// callback broadcasts in response enqueues later, so it follows m on
 	// every link.
@@ -292,6 +209,20 @@ func (e *PCCast) Broadcast(m message.Message) error {
 	return nil
 }
 
+// encodePCData encodes m behind hdr as a data frame into a pooled frame.
+func encodePCData(m message.Message, hdr message.PCHeader) (*transport.Frame, error) {
+	f := transport.NewFrame(1 + hdr.EncodedSize() + m.EncodedSize())
+	f.B = append(f.B, framePCCastData)
+	f.B = message.AppendPCHeader(f.B, hdr)
+	var err error
+	f.B, err = m.AppendBinary(f.B)
+	if err != nil {
+		f.Release()
+		return nil, err
+	}
+	return f, nil
+}
+
 // forward re-emits a first-receipt message to the full group with the hop
 // count bumped. It MUST target the exact full peer set: the reliable
 // sublayer sequences only complete fan-outs into the FIFO stream, so
@@ -299,19 +230,14 @@ func (e *PCCast) Broadcast(m message.Message) error {
 // forward to unordered unicast.
 func (e *PCCast) forward(m message.Message, hdr message.PCHeader) {
 	fh := message.PCHeader{Hops: hdr.Hops + 1}
-	f := transport.NewFrame(1 + fh.EncodedSize() + m.EncodedSize())
-	f.B = append(f.B, framePCCastData)
-	f.B = message.AppendPCHeader(f.B, fh)
-	var err error
-	f.B, err = m.AppendBinary(f.B)
+	f, err := encodePCData(m, fh)
 	if err != nil {
-		f.Release()
 		return
 	}
 	metaBytes := uint64(fh.EncodedSize())
 	e.ins.controlBytes.Add(metaBytes * uint64(len(e.others)))
 	e.meta.add(metaBytes, uint64(len(e.others)))
-	e.ins.forwarded.Inc()
+	e.forwarded.Inc()
 	e.flight.Forward(m.Label, int(fh.Hops))
 	e.enqueue(f)
 	f.Release()
@@ -367,166 +293,14 @@ func (e *PCCast) sendLoop() {
 	}
 }
 
-// Snapshot returns the engine's registry snapshot.
-func (e *PCCast) Snapshot() telemetry.Snapshot { return e.reg.Snapshot() }
-
-// Metrics is the thin compatibility view over Snapshot.
-func (e *PCCast) Metrics() Metrics {
-	s := e.reg.Snapshot()
-	m := Metrics{
-		Delivered:    s.Get("causal_pccast_delivered_total"),
-		Duplicates:   s.Get("causal_pccast_duplicates_total"),
-		Fetches:      s.Get("causal_pccast_fetches_total"),
-		ControlBytes: s.Get("causal_pccast_control_bytes_total"),
-		StablePruned: s.Get("causal_pccast_stable_pruned_total"),
-	}
-	e.deliverMu.Lock()
-	m.Buffered = len(e.pending)
-	m.MaxBuffered = e.maxBuffered
-	e.deliverMu.Unlock()
-	e.retainMu.Lock()
-	m.Retained = len(e.retained)
-	e.retainMu.Unlock()
-	return m
-}
-
-// Delivered reports whether l has been delivered locally.
-func (e *PCCast) Delivered(l message.Label) bool { return e.deliveredHas(l) }
-
-func (e *PCCast) deliveredHas(l message.Label) bool {
-	e.deliveredMu.RLock()
-	ok := e.delivered.Has(l)
-	e.deliveredMu.RUnlock()
-	return ok
-}
-
-func (e *PCCast) deliveredAdd(l message.Label) bool {
-	e.deliveredMu.Lock()
-	ok := e.delivered.Add(l)
-	e.deliveredMu.Unlock()
-	return ok
-}
-
-// Frontier returns the engine's delivered watermarks (see OSend.Frontier).
-func (e *PCCast) Frontier() map[string]uint64 {
-	e.deliveredMu.RLock()
-	defer e.deliveredMu.RUnlock()
-	return e.delivered.Watermarks()
-}
-
-// SeedFrontier marks every sequence up to wm[origin] as already delivered
-// (see OSend.SeedFrontier).
-func (e *PCCast) SeedFrontier(wm map[string]uint64) {
-	e.deliveredMu.Lock()
-	for origin, seq := range wm {
-		e.delivered.Seed(origin, seq)
-	}
-	e.deliveredMu.Unlock()
-	e.spans.SeedDelivered(wm)
-	e.releaseSeeded()
-}
-
-func (e *PCCast) releaseSeeded() {
-	e.deliverMu.Lock()
-	var freed []message.Message
-	for l, entry := range e.pending {
-		for d := range entry.missing {
-			if e.deliveredHas(d) {
-				delete(entry.missing, d)
-			}
-		}
-		if len(entry.missing) == 0 {
-			delete(e.pending, l)
-			e.ins.depWait.ObserveSince(entry.since)
-			freed = append(freed, entry.msg)
-		}
-	}
-	for d := range e.waiting {
-		if e.deliveredHas(d) {
-			delete(e.waiting, d)
-		}
-	}
-	var ready []message.Message
-	if len(freed) != 0 {
-		ready = e.takeReadyLocked()
-		for _, m := range freed {
-			ready = e.deliverLocked(ready, m)
-		}
-		e.ins.pendingDepth.Set(int64(len(e.pending)))
-	}
-	e.deliverMu.Unlock()
-	e.observeVisibility(ready)
-	for _, r := range ready {
-		e.deliver(r)
-		// After the callback — see the OSend dispatch loop.
-		e.wlog.Deliver(r.Label)
-	}
-	if ready != nil {
-		e.pruneFetched(ready)
-		e.putReady(ready)
-	}
-}
-
-// RequestSync asks every peer for a state-sync snapshot (see
-// OSend.RequestSync for why responses never seed the frontier).
-func (e *PCCast) RequestSync() error {
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	f := transport.StaticFrame([]byte{framePCCastSyncReq})
-	err := transport.Multicast(e.conn, e.others, f)
-	f.Release()
-	return err
-}
-
-// SyncWith asks one peer for a state-sync snapshot.
-func (e *PCCast) SyncWith(peer string) error {
-	if e.closed.Load() {
-		return ErrClosed
-	}
-	return e.conn.Send(peer, []byte{framePCCastSyncReq})
-}
-
-func (e *PCCast) serveSync(requester string) {
-	e.retainMu.Lock()
-	maxSeq := make(map[string]uint64, len(e.retained))
-	for l := range e.retained {
-		if l.Seq > maxSeq[l.Origin] {
-			maxSeq[l.Origin] = l.Seq
-		}
-	}
-	e.retainMu.Unlock()
-	e.deliveredMu.RLock()
-	wm := e.delivered.Watermarks()
-	e.deliveredMu.RUnlock()
-	frame := []byte{framePCCastSyncResp}
-	frame = appendOriginSeqMap(frame, maxSeq)
-	frame = appendOriginSeqMap(frame, wm)
-	_ = e.conn.Send(requester, frame) // best effort; requester retries
-}
-
-func (e *PCCast) handleSyncResp(from string, retained, watermarks map[string]uint64) {
-	e.handleAdvert(from, retained, watermarks)
-	if e.onSync != nil {
-		e.onSync(from, watermarks)
-	}
-}
-
-// MarkDown sets or clears a peer's down mark. Beyond OSend's stability
-// and fetch-routing semantics, PCCast ties link state to it: marking a
-// peer down tears its inbound link (buffered frames from the dead
-// incarnation are discarded); marking it up starts the buffered
+// MarkDown sets or clears a peer's down mark. Beyond the core's stability
+// and fetch-routing semantics (depCore.MarkDown), PCCast ties link state
+// to it: marking a peer down tears its inbound link (buffered frames from
+// the dead incarnation are discarded); marking it up starts the buffered
 // establishment round-trip — data frames from the peer are held until its
 // join response arrives, then drain in receipt order.
 func (e *PCCast) MarkDown(peer string, down bool) {
-	e.retainMu.Lock()
-	if down {
-		e.down[peer] = true
-	} else {
-		delete(e.down, peer)
-	}
-	e.retainMu.Unlock()
-	e.wlog.Member(peer, down)
+	e.depCore.MarkDown(peer, down)
 
 	e.linkMu.Lock()
 	ls := e.links[peer]
@@ -538,7 +312,7 @@ func (e *PCCast) MarkDown(peer string, down bool) {
 		ls.established = false
 		e.linkBuf -= len(ls.buf)
 		ls.buf = nil
-		e.ins.linkBuffered.Set(int64(e.linkBuf))
+		e.linkBuffered.Set(int64(e.linkBuf))
 		e.linkMu.Unlock()
 		return
 	}
@@ -565,7 +339,7 @@ func (e *PCCast) establish(peer string) []pcBuffered {
 	buf := ls.buf
 	ls.buf = nil
 	e.linkBuf -= len(buf)
-	e.ins.linkBuffered.Set(int64(e.linkBuf))
+	e.linkBuffered.Set(int64(e.linkBuf))
 	e.linkMu.Unlock()
 	return buf
 }
@@ -583,56 +357,24 @@ func (e *PCCast) gateLink(from string, m message.Message, hdr message.PCHeader) 
 	if len(ls.buf) < maxLinkBuffer {
 		ls.buf = append(ls.buf, pcBuffered{m: m, hdr: hdr})
 		e.linkBuf++
-		e.ins.linkBuffered.Set(int64(e.linkBuf))
+		e.linkBuffered.Set(int64(e.linkBuf))
 	}
 	e.linkMu.Unlock()
 	return true
 }
 
-// Close implements Broadcaster.
+// Close implements Broadcaster: it closes the outbox, releasing frames
+// not yet fanned out, then stops the core.
 func (e *PCCast) Close() error {
-	if e.closed.Swap(true) {
-		return nil
-	}
-	close(e.done)
 	e.outMu.Lock()
 	e.outClosed = true
 	e.outMu.Unlock()
 	e.outCond.Broadcast()
-	err := e.conn.Close()
-	e.wg.Wait()
-	return err
+	return e.depCore.Close()
 }
 
-func (e *PCCast) recvLoop() {
-	defer e.wg.Done()
-	pprof.Do(context.Background(), pprof.Labels("loop", "pccast-recv", "member", e.self), func(context.Context) {
-		dec := message.NewDecoder()
-		if br, ok := e.conn.(transport.BatchRecver); ok {
-			var batch []transport.Envelope
-			for {
-				var err error
-				batch, err = br.RecvBatch(batch)
-				if err != nil {
-					return
-				}
-				for i := range batch {
-					e.handleFrame(dec, &batch[i])
-					batch[i].Release()
-				}
-			}
-		}
-		for {
-			env, err := e.conn.Recv()
-			if err != nil {
-				return
-			}
-			e.handleFrame(dec, &env)
-			env.Release()
-		}
-	})
-}
-
+// handleFrame dispatches one inbound frame. The envelope's payload is only
+// valid for the duration of the call (the caller releases the frame).
 func (e *PCCast) handleFrame(dec *message.Decoder, env *transport.Envelope) {
 	if len(env.Payload) == 0 {
 		return
@@ -658,23 +400,6 @@ func (e *PCCast) handleFrame(dec *message.Decoder, env *transport.Envelope) {
 			return
 		}
 		e.serveFetch(env.From, l)
-	case framePCCastAdvert:
-		retained, watermarks, err := decodeAdvert(body)
-		if err != nil {
-			return
-		}
-		e.handleAdvert(env.From, retained, watermarks)
-	case framePCCastSyncReq:
-		if len(body) != 0 {
-			return
-		}
-		e.serveSync(env.From)
-	case framePCCastSyncResp:
-		retained, watermarks, err := decodeAdvert(body)
-		if err != nil {
-			return
-		}
-		e.handleSyncResp(env.From, retained, watermarks)
 	case framePCCastJoinReq:
 		if len(body) != 0 {
 			return
@@ -687,7 +412,7 @@ func (e *PCCast) handleFrame(dec *message.Decoder, env *transport.Envelope) {
 		}
 		e.handleJoinResp(env.From, wm)
 	default:
-		// Unknown frame kinds are ignored for forward compatibility.
+		e.handleControl(env.From, kind, body)
 	}
 }
 
@@ -718,10 +443,7 @@ func (e *PCCast) serveJoin(requester string) {
 	e.retainMu.Lock()
 	delete(e.down, requester) // an explicit ping is liveness evidence
 	e.retainMu.Unlock()
-	e.deliveredMu.RLock()
-	wm := e.delivered.Watermarks()
-	e.deliveredMu.RUnlock()
-	frame := appendOriginSeqMap([]byte{framePCCastJoinResp}, wm)
+	frame := appendOriginSeqMap([]byte{framePCCastJoinResp}, e.Frontier())
 	_ = e.conn.Send(requester, frame) // best effort; requester re-pings
 }
 
@@ -732,187 +454,6 @@ func (e *PCCast) handleJoinResp(from string, wm map[string]uint64) {
 	e.handleAdvert(from, nil, wm)
 	for _, b := range e.establish(from) {
 		e.processData(b.m, b.hdr)
-	}
-}
-
-func (e *PCCast) takeReadyLocked() []message.Message {
-	if n := len(e.readyFree); n > 0 {
-		buf := e.readyFree[n-1]
-		e.readyFree = e.readyFree[:n-1]
-		return buf
-	}
-	return nil
-}
-
-func (e *PCCast) putReady(buf []message.Message) {
-	clear(buf)
-	e.deliverMu.Lock()
-	e.readyFree = append(e.readyFree, buf[:0])
-	e.deliverMu.Unlock()
-}
-
-// ingest runs the holdback delivery algorithm on one message (received,
-// drained from a link buffer, or locally broadcast). Identical to OSend's:
-// on FIFO links the OccursAfter predicate is already satisfied in the
-// common case and the holdback is pass-through; it earns its keep on the
-// out-of-stream paths (refills, rejoin catch-up).
-func (e *PCCast) ingest(m message.Message) {
-	if e.closed.Load() {
-		return
-	}
-	// Group-wide retention, as in OSend: any retainer can serve a fetch.
-	if e.patience > 0 {
-		e.retainMu.Lock()
-		if _, ok := e.retained[m.Label]; !ok {
-			e.retained[m.Label] = m
-			e.ins.retainedDepth.Set(int64(len(e.retained)))
-		}
-		e.retainMu.Unlock()
-	}
-	e.deliverMu.Lock()
-	if e.deliveredHas(m.Label) {
-		e.ins.duplicates.Inc()
-		e.deliverMu.Unlock()
-		return
-	}
-	if _, buffered := e.pending[m.Label]; buffered {
-		e.ins.duplicates.Inc()
-		e.deliverMu.Unlock()
-		return
-	}
-	e.spans.Enqueue(m)
-	var missing map[message.Label]struct{}
-	for _, d := range m.Deps.Labels() {
-		if !e.deliveredHas(d) {
-			if missing == nil {
-				missing = make(map[message.Label]struct{}, m.Deps.Len())
-			}
-			missing[d] = struct{}{}
-		}
-	}
-	if missing != nil {
-		e.pending[m.Label] = &pendingEntry{msg: m, missing: missing, since: time.Now()}
-		for d := range missing {
-			e.waiting[d] = append(e.waiting[d], m.Label)
-			e.flight.Holdback(m.Label, d)
-		}
-		depth := len(e.pending)
-		if depth > e.maxBuffered {
-			e.maxBuffered = depth
-		}
-		e.deliverMu.Unlock()
-		e.ins.pendingDepth.Set(int64(depth))
-		e.ins.pendingMax.SetMax(int64(depth))
-		e.trace.Record(telemetry.EventDefer, e.self, m.Label.Origin, m.Label.Seq, int64(depth))
-		return
-	}
-	ready := e.deliverLocked(e.takeReadyLocked(), m)
-	if len(ready) > 1 {
-		e.ins.pendingDepth.Set(int64(len(e.pending)))
-	}
-	e.deliverMu.Unlock()
-	e.observeVisibility(ready)
-	for _, r := range ready {
-		e.deliver(r)
-		// After the callback — see the OSend dispatch loop.
-		e.wlog.Deliver(r.Label)
-	}
-	e.pruneFetched(ready)
-	e.putReady(ready)
-}
-
-// observeVisibility records send→deliver latency toward each remote
-// origin in the batch. Alloc-free (see peerInstruments.observe).
-func (e *PCCast) observeVisibility(ready []message.Message) {
-	if len(ready) == 0 {
-		return
-	}
-	now := time.Now().UnixNano()
-	for i := range ready {
-		e.peer.observe(e.self, &ready[i], now)
-	}
-}
-
-// peerLag scans the holdback buffer for messages from peer: the
-// snapshot-time feed for the causal_peer_* gauges.
-func (e *PCCast) peerLag(peer string) (depth, ageMS int64) {
-	return scanPendingLag(peer, func(yield func(origin string, since time.Time)) {
-		e.deliverMu.Lock()
-		defer e.deliverMu.Unlock()
-		for _, entry := range e.pending {
-			yield(entry.msg.Label.Origin, entry.since)
-		}
-	})
-}
-
-func (e *PCCast) deliverLocked(out []message.Message, m message.Message) []message.Message {
-	queue := append(e.cascade[:0], m)
-	for i := 0; i < len(queue); i++ {
-		cur := queue[i]
-		if !e.deliveredAdd(cur.Label) {
-			continue
-		}
-		e.ins.delivered.Inc()
-		e.trace.Record(telemetry.EventDeliver, e.self, cur.Label.Origin, cur.Label.Seq, 0)
-		e.spans.Deliver(cur)
-		out = append(out, cur)
-		blocked, ok := e.waiting[cur.Label]
-		if !ok {
-			continue
-		}
-		delete(e.waiting, cur.Label)
-		for _, bl := range blocked {
-			entry, ok := e.pending[bl]
-			if !ok {
-				continue
-			}
-			delete(entry.missing, cur.Label)
-			if e.spans != nil {
-				e.spans.DepResolved(bl, cur.Label, time.Since(entry.since))
-			}
-			if len(entry.missing) == 0 {
-				delete(e.pending, bl)
-				e.ins.depWait.ObserveSince(entry.since)
-				queue = append(queue, entry.msg)
-			}
-		}
-	}
-	clear(queue)
-	e.cascade = queue[:0]
-	return out
-}
-
-func (e *PCCast) pruneFetched(ready []message.Message) {
-	e.retainMu.Lock()
-	if len(e.lastFetch) != 0 {
-		for i := range ready {
-			delete(e.lastFetch, ready[i].Label)
-		}
-	}
-	e.retainMu.Unlock()
-}
-
-// fetchLoop is the anti-entropy heartbeat: dependency fetches, adverts,
-// stale-state pruning, and join-request retries for links stuck
-// mid-establishment.
-func (e *PCCast) fetchLoop() {
-	defer e.wg.Done()
-	interval := e.patience / 2
-	if interval <= 0 {
-		interval = e.patience
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-e.done:
-			return
-		case now := <-ticker.C:
-			e.fetchMissing(now)
-			e.advertise()
-			e.pruneFetchState()
-			e.repingLinks()
-		}
 	}
 }
 
@@ -939,201 +480,17 @@ func (e *PCCast) repingLinks() {
 	}
 }
 
-func (e *PCCast) pruneFetchState() {
-	e.retainMu.Lock()
-	for l := range e.lastFetch {
-		if e.deliveredHas(l) || !e.grp.Contains(RouteOrigin(l.Origin)) {
-			delete(e.lastFetch, l)
-		}
-	}
-	e.retainMu.Unlock()
-}
-
-func (e *PCCast) advertise() {
-	if e.closed.Load() {
-		return
-	}
-	e.retainMu.Lock()
-	maxSeq := make(map[string]uint64)
-	for l := range e.retained {
-		if l.Seq > maxSeq[l.Origin] {
-			maxSeq[l.Origin] = l.Seq
-		}
-	}
-	e.retainMu.Unlock()
-	e.deliveredMu.RLock()
-	wm := e.delivered.Watermarks()
-	e.deliveredMu.RUnlock()
-	if len(maxSeq) == 0 && len(wm) == 0 {
-		return
-	}
-	frame := encodeAdvertKind(framePCCastAdvert, maxSeq, wm)
-	f := transport.StaticFrame(frame)
-	_ = transport.Multicast(e.conn, e.others, f) // best effort; re-sent next tick
-	f.Release()
-}
-
-func (e *PCCast) handleAdvert(from string, retained, watermarks map[string]uint64) {
-	const maxFetchPerAdvert = 32
-	now := time.Now()
-	var candidates []message.Label
-scan:
-	for origin, maxSeq := range retained {
-		for seq := e.deliveredWatermark(origin) + 1; seq <= maxSeq; seq++ {
-			l := message.Label{Origin: origin, Seq: seq}
-			if e.deliveredHas(l) || e.isPending(l) {
-				continue
-			}
-			candidates = append(candidates, l)
-			if len(candidates) >= maxFetchPerAdvert {
-				break scan
-			}
-		}
-	}
-	var fetches []message.Label
-	e.retainMu.Lock()
-	for _, l := range candidates {
-		if last, ok := e.lastFetch[l]; ok && now.Sub(last) < e.patience {
-			continue
-		}
-		e.lastFetch[l] = now
-		fetches = append(fetches, l)
-		e.ins.fetches.Inc()
-		e.trace.Record(telemetry.EventFetch, e.self, l.Origin, l.Seq, 0)
-		e.flight.Fetch(l, from)
-	}
-	e.peerWM[from] = watermarks
-	delete(e.down, from) // an advertising peer is evidently alive
-	e.pruneStableLocked()
-	e.retainMu.Unlock()
-	for _, l := range fetches {
-		frame := append([]byte{framePCCastFetch}, encodeLabel(nil, l)...)
-		_ = e.conn.Send(from, frame) // best effort; retried next advert
-	}
-}
-
-func (e *PCCast) deliveredWatermark(origin string) uint64 {
-	e.deliveredMu.RLock()
-	wm := e.delivered.Watermark(origin)
-	e.deliveredMu.RUnlock()
-	return wm
-}
-
-func (e *PCCast) isPending(l message.Label) bool {
-	e.deliverMu.Lock()
-	_, ok := e.pending[l]
-	e.deliverMu.Unlock()
-	return ok
-}
-
-// pruneStableLocked — see OSend.pruneStableLocked. Caller holds retainMu.
-func (e *PCCast) pruneStableLocked() {
-	for _, p := range e.others {
-		if e.down[p] {
-			continue
-		}
-		if _, ok := e.peerWM[p]; !ok {
-			return // need evidence from every live peer before anything is stable
-		}
-	}
-	for l := range e.retained {
-		stable := true
-		for _, p := range e.others {
-			if e.down[p] {
-				continue
-			}
-			wm, ok := e.peerWM[p]
-			if !ok || wm[l.Origin] < l.Seq {
-				stable = false
-				break
-			}
-		}
-		if stable {
-			delete(e.retained, l)
-			delete(e.lastFetch, l)
-			e.ins.stablePruned.Inc()
-		}
-	}
-	e.ins.retainedDepth.Set(int64(len(e.retained)))
-}
-
-func (e *PCCast) fetchMissing(now time.Time) {
-	type fetch struct {
-		to string
-		l  message.Label
-	}
-	var candidates []fetch
-	e.deliverMu.Lock()
-	for _, entry := range e.pending {
-		if now.Sub(entry.since) < e.patience {
-			continue
-		}
-		for d := range entry.missing {
-			to := RouteOrigin(d.Origin)
-			if to == e.self || !e.grp.Contains(to) {
-				continue
-			}
-			candidates = append(candidates, fetch{to: to, l: d})
-		}
-	}
-	e.deliverMu.Unlock()
-	var fetches []fetch
-	e.retainMu.Lock()
-	for _, c := range candidates {
-		if last, ok := e.lastFetch[c.l]; ok && now.Sub(last) < e.patience {
-			continue
-		}
-		if e.down[c.to] {
-			if alt := e.altRouteLocked(c.to); alt != "" {
-				c.to = alt
-			}
-		}
-		e.lastFetch[c.l] = now
-		fetches = append(fetches, c)
-		e.ins.fetches.Inc()
-		e.trace.Record(telemetry.EventFetch, e.self, c.l.Origin, c.l.Seq, 0)
-		e.flight.Fetch(c.l, c.to)
-	}
-	e.retainMu.Unlock()
-	for _, f := range fetches {
-		frame := append([]byte{framePCCastFetch}, encodeLabel(nil, f.l)...)
-		_ = e.conn.Send(f.to, frame) // best effort; retried next tick
-	}
-}
-
-// altRouteLocked picks the next live peer in rotation, skipping avoid.
-// Caller holds retainMu.
-func (e *PCCast) altRouteLocked(avoid string) string {
-	n := len(e.others)
-	for i := 0; i < n; i++ {
-		p := e.others[(e.fetchSpread+i)%n]
-		if p != avoid && !e.down[p] {
-			e.fetchSpread = (e.fetchSpread + i + 1) % n
-			return p
-		}
-	}
-	return ""
-}
-
 // serveFetch re-encodes a retained message under a Refill header: the
 // copy bypasses this member's FIFO stream (it is a unicast answer, not a
 // fan-out), so the receiver must not forward it and must order it by its
 // OccursAfter predicate alone.
 func (e *PCCast) serveFetch(requester string, l message.Label) {
-	e.retainMu.Lock()
-	m, ok := e.retained[l]
-	e.retainMu.Unlock()
+	m, ok := e.retainedCopy(l)
 	if !ok {
 		return
 	}
-	rh := message.PCHeader{Refill: true}
-	f := transport.NewFrame(1 + rh.EncodedSize() + m.EncodedSize())
-	f.B = append(f.B, framePCCastData)
-	f.B = message.AppendPCHeader(f.B, rh)
-	var err error
-	f.B, err = m.AppendBinary(f.B)
+	f, err := encodePCData(m, message.PCHeader{Refill: true})
 	if err != nil {
-		f.Release()
 		return
 	}
 	_ = e.conn.Send(requester, f.B) // best effort

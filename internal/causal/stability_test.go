@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"causalshare/internal/message"
+	"causalshare/internal/telemetry"
 	"causalshare/internal/transport"
 )
 
@@ -85,37 +86,49 @@ func TestRouteOrigin(t *testing.T) {
 	}
 }
 
+// retainedState reads an engine's retained depth and stable-pruned count.
+func retainedState(t *testing.T, b Broadcaster, prefix string) (retained int64, pruned uint64) {
+	t.Helper()
+	e, ok := b.(interface{ Snapshot() telemetry.Snapshot })
+	if !ok {
+		t.Fatalf("%T has no snapshot", b)
+	}
+	s := e.Snapshot()
+	retained, _ = s.GaugeValue(prefix+"retained_depth", "")
+	return retained, s.Get(prefix + "stable_pruned_total")
+}
+
 func TestStabilityGarbageCollection(t *testing.T) {
 	// With patience enabled, adverts flow; once every peer's watermark
 	// covers the sender's messages, the retained copies must be pruned.
-	net := transport.NewChanNet(transport.FaultModel{})
-	c := newOSendCluster(t, []string{"a", "b", "c"}, net, 10*time.Millisecond)
-	defer c.close(t)
+	for _, eng := range depEngines {
+		t.Run(eng.name, func(t *testing.T) {
+			net := transport.NewChanNet(transport.FaultModel{})
+			c := eng.cluster(t, []string{"a", "b", "c"}, net, 10*time.Millisecond)
+			defer c.close(t)
 
-	const count = 20
-	for i := uint64(1); i <= count; i++ {
-		m := message.Message{Label: message.Label{Origin: "a", Seq: i}, Kind: message.KindCommutative, Op: "inc"}
-		if err := c.bcs["a"].Broadcast(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, id := range []string{"a", "b", "c"} {
-		c.cols[id].waitFor(t, count, 2*time.Second)
-	}
-	e, ok := c.bcs["a"].(*OSend)
-	if !ok {
-		t.Fatal("not an OSend engine")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		m := e.Metrics()
-		if m.Retained == 0 && m.StablePruned == count {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("retained not pruned: %+v", m)
-		}
-		time.Sleep(2 * time.Millisecond)
+			const count = 20
+			for i := uint64(1); i <= count; i++ {
+				m := message.Message{Label: message.Label{Origin: "a", Seq: i}, Kind: message.KindCommutative, Op: "inc"}
+				if err := c.bcs["a"].Broadcast(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, id := range []string{"a", "b", "c"} {
+				c.cols[id].waitFor(t, count, 2*time.Second)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				retained, pruned := retainedState(t, c.bcs["a"], eng.metrics)
+				if retained == 0 && pruned == count {
+					return
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("retained not pruned: retained=%d stable_pruned=%d", retained, pruned)
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+		})
 	}
 }
 
@@ -123,38 +136,39 @@ func TestStabilityGCStillServesUnstableFetches(t *testing.T) {
 	// Two of three members deliver; the third is partitioned. Messages
 	// must remain retained (not stable) so the partitioned member can
 	// recover after healing.
-	net := transport.NewChanNet(transport.FaultModel{})
-	c := newOSendCluster(t, []string{"a", "b", "c"}, net, 10*time.Millisecond)
-	defer c.close(t)
+	for _, eng := range depEngines {
+		t.Run(eng.name, func(t *testing.T) {
+			net := transport.NewChanNet(transport.FaultModel{})
+			c := eng.cluster(t, []string{"a", "b", "c"}, net, 10*time.Millisecond)
+			defer c.close(t)
 
-	net.Partition("a", "c", true)
-	net.Partition("b", "c", true)
-	const count = 5
-	for i := uint64(1); i <= count; i++ {
-		m := message.Message{Label: message.Label{Origin: "a", Seq: i}, Kind: message.KindCommutative, Op: "inc"}
-		if err := c.bcs["a"].Broadcast(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.cols["b"].waitFor(t, count, 2*time.Second)
-	time.Sleep(30 * time.Millisecond) // adverts circulate between a and b
-	e, ok := c.bcs["a"].(*OSend)
-	if !ok {
-		t.Fatal("not an OSend engine")
-	}
-	if m := e.Metrics(); m.Retained != count {
-		t.Fatalf("retained = %d during partition, want %d (c has not delivered)", m.Retained, count)
-	}
-	net.Heal()
-	c.cols["c"].waitFor(t, count, 5*time.Second)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if e.Metrics().Retained == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("retained not pruned after heal: %+v", e.Metrics())
-		}
-		time.Sleep(2 * time.Millisecond)
+			net.Partition("a", "c", true)
+			net.Partition("b", "c", true)
+			const count = 5
+			for i := uint64(1); i <= count; i++ {
+				m := message.Message{Label: message.Label{Origin: "a", Seq: i}, Kind: message.KindCommutative, Op: "inc"}
+				if err := c.bcs["a"].Broadcast(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.cols["b"].waitFor(t, count, 2*time.Second)
+			time.Sleep(30 * time.Millisecond) // adverts circulate between a and b
+			if retained, _ := retainedState(t, c.bcs["a"], eng.metrics); retained != count {
+				t.Fatalf("retained = %d during partition, want %d (c has not delivered)", retained, count)
+			}
+			net.Heal()
+			c.cols["c"].waitFor(t, count, 5*time.Second)
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				retained, pruned := retainedState(t, c.bcs["a"], eng.metrics)
+				if retained == 0 {
+					return
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("retained not pruned after heal: retained=%d stable_pruned=%d", retained, pruned)
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+		})
 	}
 }

@@ -2,6 +2,8 @@ package transport
 
 import (
 	"fmt"
+	"net"
+	"sync"
 	"testing"
 	"time"
 )
@@ -126,5 +128,62 @@ func TestTCPFlushWindowErrorSurfaces(t *testing.T) {
 			t.Fatal("write errors never surfaced on Send")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestTCPCloseWhileDialing is the regression test for the Close/acceptLoop
+// race: a connection accepted just before the listener closes must not
+// escape Close's sweep of inbound connections, or its read loop blocks
+// Close forever. Peers dial in a tight loop (and keep every connection
+// open, so only Close can end a read loop) while Close runs.
+func TestTCPCloseWhileDialing(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		n := NewTCPNet()
+		c, err := n.Attach("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, _ := n.addrOf("a")
+		stop := make(chan struct{})
+		var dialers sync.WaitGroup
+		var mu sync.Mutex
+		var open []net.Conn
+		for d := 0; d < 4; d++ {
+			dialers.Add(1)
+			go func() {
+				defer dialers.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					conn, err := net.Dial("tcp", addr)
+					if err != nil {
+						continue // listener closed; keep dialing until stopped
+					}
+					mu.Lock()
+					open = append(open, conn)
+					mu.Unlock()
+				}
+			}()
+		}
+		time.Sleep(time.Millisecond)
+		closed := make(chan struct{})
+		go func() {
+			_ = c.Close()
+			close(closed)
+		}()
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("iteration %d: Close hung with a dialer racing acceptLoop", i)
+		}
+		close(stop)
+		dialers.Wait()
+		for _, conn := range open {
+			_ = conn.Close()
+		}
+		_ = n.Close()
 	}
 }

@@ -183,11 +183,11 @@ type tcpPeer struct {
 	// chunk order equals write order (per-pair FIFO).
 	writeMu sync.Mutex
 
-	mu       sync.Mutex
-	pending  []byte // frames gathered since the last flush
-	nframes  int    // frames in pending (flush-window occupancy)
-	spare    []byte // recycled buffer for the next gather
-	err      error  // sticky asynchronous write error
+	mu      sync.Mutex
+	pending []byte // frames gathered since the last flush
+	nframes int    // frames in pending (flush-window occupancy)
+	spare   []byte // recycled buffer for the next gather
+	err     error  // sticky asynchronous write error
 
 	kick     chan struct{} // signals the flusher that pending is non-empty
 	done     chan struct{}
@@ -327,6 +327,7 @@ type tcpConn struct {
 	mu      sync.Mutex
 	peers   map[string]*tcpPeer   // outbound connection cache
 	inbound map[net.Conn]struct{} // accepted connections, closed on Close
+	closed  bool                  // set by Close; later accepts are refused
 	wg      sync.WaitGroup
 
 	closeOnce sync.Once
@@ -356,9 +357,17 @@ func (c *tcpConn) acceptLoop() {
 			return // listener closed
 		}
 		c.mu.Lock()
+		if c.closed {
+			// Accepted just before the listener closed, after Close swept
+			// inbound: nothing would ever close it, and its readLoop would
+			// block Close's Wait forever.
+			c.mu.Unlock()
+			_ = conn.Close()
+			continue
+		}
 		c.inbound[conn] = struct{}{}
-		c.mu.Unlock()
 		c.wg.Add(1)
+		c.mu.Unlock()
 		go c.readLoop(conn)
 	}
 }
@@ -525,6 +534,7 @@ func (c *tcpConn) Close() error {
 	c.closeOnce.Do(func() {
 		c.closeErr = c.ln.Close()
 		c.mu.Lock()
+		c.closed = true
 		peers := make([]*tcpPeer, 0, len(c.peers))
 		for _, p := range c.peers {
 			peers = append(peers, p)
