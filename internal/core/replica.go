@@ -34,13 +34,18 @@ type StablePoint struct {
 type ReplicaConfig struct {
 	// Self names the replica (metrics and errors only).
 	Self string
-	// Initial is the state the replica starts from; the replica clones it.
+	// Initial is the state the replica starts from; the replica clones it
+	// twice, once for the current state and once for the stable state.
 	Initial State
-	// Apply is the application's transition function F.
+	// Apply is the application's transition function F. The replica runs
+	// it twice per message: once on the current state at delivery and once
+	// on the stable state when the activity closes, so it must be
+	// deterministic for the stable state to equal the current one there.
 	Apply Transition
 	// OnStable, when non-nil, is invoked after every stable point with the
 	// point record and an independent clone of the stable state. It runs
-	// on the delivery goroutine without the replica lock held.
+	// on the delivery goroutine without the replica lock held. Reads and
+	// OnStable are the only callers of State.Clone after construction.
 	OnStable func(StablePoint, State)
 	// Telemetry, when non-nil, registers the replica's core_* instruments
 	// there; replicas sharing a registry aggregate.
@@ -64,6 +69,11 @@ type ReplicaConfig struct {
 // at each stable point the model guarantees agreement, so deferred reads
 // are served from stable states only. Replica is safe for concurrent use;
 // Deliver is its causal.DeliverFunc.
+//
+// The replica keeps two state copies. The current state takes every
+// message as it is delivered. The stable state is advanced only at a
+// closer, by replaying the closed activity's messages in delivery order,
+// so a stable point costs the size of the activity, not of the state.
 type Replica struct {
 	self     string
 	apply    Transition
@@ -76,9 +86,10 @@ type Replica struct {
 	mu          sync.Mutex
 	state       State
 	stable      State
+	open        []message.Message // the open activity, in delivery order
+	openPeak    int               // decaying high-water mark of len(open)
 	stableCycle uint64
 	applied     uint64
-	current     int // messages in the open activity
 	lastStable  time.Time
 	points      []StablePoint
 	waiters     []chan readResult
@@ -136,52 +147,83 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 func (r *Replica) Deliver(m message.Message) {
 	r.mu.Lock()
 	r.state = r.apply(r.state, m)
+	r.open = append(r.open, m)
 	r.applied++
-	r.current++
 	r.ins.applied.Inc()
 	r.spans.Apply(m.Label)
-	var (
-		notify   func(StablePoint, State)
-		point    StablePoint
-		snapshot State
-		waiters  []chan readResult
-	)
-	if m.Kind == message.KindNonCommutative || m.Kind == message.KindRead {
-		r.stableCycle++
-		r.stable = r.state.Clone()
-		point = StablePoint{
-			Cycle:        r.stableCycle,
-			Closer:       m.Label,
-			Digest:       r.stable.Digest(),
-			ActivitySize: r.current,
-		}
-		r.points = append(r.points, point)
-		now := time.Now()
-		r.ins.stablePoints.Inc()
-		r.ins.stableInterval.Observe(now.Sub(r.lastStable).Seconds())
-		r.ins.activitySize.Observe(float64(r.current))
-		r.lastStable = now
-		r.trace.Record(telemetry.EventStable, r.self, m.Label.Origin, m.Label.Seq, int64(r.stableCycle))
-		r.spans.Stable(m.Label, r.stableCycle, point.Digest)
-		r.flight.Stable(m.Label, r.stableCycle)
-		r.current = 0
-		waiters = r.waiters
-		r.waiters = nil
-		if r.onStable != nil {
-			notify = r.onStable
-			snapshot = r.stable.Clone()
-		}
+	if m.Kind != message.KindNonCommutative && m.Kind != message.KindRead {
+		r.mu.Unlock()
+		return
 	}
-	stableForWaiters := r.stable
-	cycle := r.stableCycle
+	size := r.replayOpenLocked()
+	r.stableCycle++
+	point := StablePoint{
+		Cycle:        r.stableCycle,
+		Closer:       m.Label,
+		Digest:       r.stable.Digest(),
+		ActivitySize: size,
+	}
+	r.points = append(r.points, point)
+	now := time.Now()
+	r.ins.stablePoints.Inc()
+	r.ins.stableInterval.Observe(now.Sub(r.lastStable).Seconds())
+	r.ins.activitySize.Observe(float64(size))
+	r.lastStable = now
+	r.trace.Record(telemetry.EventStable, r.self, m.Label.Origin, m.Label.Seq, int64(r.stableCycle))
+	r.spans.Stable(m.Label, r.stableCycle, point.Digest)
+	r.flight.Stable(m.Label, r.stableCycle)
+	waiters := r.waiters
+	r.waiters = nil
+	notify := r.onStable
+	// The stable state is mutated in place by the next closer, so readers'
+	// copies come from one clone taken under the lock.
+	var base State
+	if len(waiters) > 0 || notify != nil {
+		base = r.stable.Clone()
+	}
 	r.mu.Unlock()
 
-	for _, w := range waiters {
-		w <- readResult{state: stableForWaiters.Clone(), cycle: cycle}
+	// base goes to the last receiver, only after every other copy is made.
+	var snapshot State
+	if notify != nil {
+		snapshot = base
+		if len(waiters) > 0 {
+			snapshot = base.Clone()
+		}
+	}
+	for i, w := range waiters {
+		st := base
+		if i < len(waiters)-1 {
+			st = base.Clone()
+		}
+		w <- readResult{state: st, cycle: point.Cycle}
 	}
 	if notify != nil {
 		notify(point, snapshot)
 	}
+}
+
+// replayOpenLocked advances the stable state over the open activity and
+// empties it, returning its size. Transition is deterministic and the
+// stable state equalled the current one at the last closer, so after the
+// replay they are equal again. Caller holds r.mu.
+func (r *Replica) replayOpenLocked() int {
+	size := len(r.open)
+	for _, m := range r.open {
+		r.stable = r.apply(r.stable, m)
+	}
+	// Reuse the backing array unless it is over twice the recent peak
+	// activity size, which decays by a quarter per activity: regrowing it
+	// every activity costs allocations, and keeping the largest one ever
+	// grown costs live heap on every replica.
+	r.openPeak = max(size, r.openPeak-r.openPeak/4)
+	if cap(r.open) > 2*r.openPeak+4 {
+		r.open = make([]message.Message, 0, r.openPeak)
+		return size
+	}
+	clear(r.open) // release the messages' bodies to the collector
+	r.open = r.open[:0]
+	return size
 }
 
 // ReadDeferred returns an independent copy of the agreed state at a
@@ -194,7 +236,7 @@ func (r *Replica) Deliver(m message.Message) {
 func (r *Replica) ReadDeferred(ctx context.Context) (State, uint64, error) {
 	ch := make(chan readResult, 1)
 	r.mu.Lock()
-	if r.current == 0 && r.stableCycle > 0 {
+	if len(r.open) == 0 && r.stableCycle > 0 {
 		st, cycle := r.stable.Clone(), r.stableCycle
 		r.mu.Unlock()
 		r.ins.deferredWait.Observe(0)

@@ -25,7 +25,10 @@ import (
 // State is an application state S. Implementations must be value-like:
 // Clone returns an independent deep copy, Equal compares by value, and
 // Digest returns a deterministic fingerprint equal states share (used to
-// audit cross-replica agreement at stable points).
+// audit cross-replica agreement at stable points). A Replica clones its
+// initial state at construction and afterwards only to hand out reads
+// (ReadStable, ReadDeferred, ReadNow) and OnStable snapshots; stable
+// points themselves copy nothing.
 type State interface {
 	Clone() State
 	Equal(State) bool
@@ -36,6 +39,12 @@ type State interface {
 // in the paper. It must be deterministic and must not retain or mutate m.
 // Implementations return the successor state; they may mutate and return
 // the input state (the replica owns it) or return a fresh one.
+//
+// Determinism is load-bearing: a Replica applies each message once to its
+// current state and again, at the activity's closer, to its stable state,
+// and relies on both reaching the same value. A Transition that reads a
+// clock, a random source or any state outside (s, m) breaks stable-point
+// agreement on a single replica, not only across replicas.
 type Transition func(State, message.Message) State
 
 // Commute reports whether applying a and b in either order from state s

@@ -128,10 +128,11 @@ func (r *Ring) Record(kind EventKind, member, origin string, seq uint64, value i
 	if r == nil {
 		return
 	}
-	at := time.Since(r.base)
+	// Stamp under the lock so slot order and At order agree: Snapshot
+	// promises oldest-first.
 	r.mu.Lock()
 	r.buf[r.next%uint64(len(r.buf))] = Event{
-		At: at, Kind: kind, Member: member, Origin: origin, Seq: seq, Value: value,
+		At: time.Since(r.base), Kind: kind, Member: member, Origin: origin, Seq: seq, Value: value,
 	}
 	r.next++
 	r.mu.Unlock()

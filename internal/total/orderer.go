@@ -8,12 +8,12 @@ import (
 
 	"causalshare/internal/causal"
 	"causalshare/internal/flightrec"
-	"causalshare/internal/wal"
 	"causalshare/internal/group"
 	"causalshare/internal/message"
 	"causalshare/internal/telemetry"
 	"causalshare/internal/trace"
 	"causalshare/internal/vclock"
+	"causalshare/internal/wal"
 )
 
 // Config parameterizes a total-order layer instance.
@@ -91,7 +91,9 @@ type Orderer struct {
 	horizon map[string]uint64
 	// delivered counts messages handed to the application.
 	delivered uint64
-	ins       totalInstruments
+	// out hands released messages to the application in stamp order.
+	out handoff
+	ins totalInstruments
 
 	done     chan struct{}
 	stopOnce sync.Once
@@ -123,6 +125,7 @@ func New(cfg Config) (*Orderer, error) {
 		horizon: make(map[string]uint64, cfg.Group.Size()),
 		done:    make(chan struct{}),
 	}
+	o.out = handoff{mu: &o.mu, deliver: o.deliver}
 	if cfg.HeartbeatEvery > 0 {
 		o.wg.Add(1)
 		go o.heartbeatLoop(cfg.HeartbeatEvery)
@@ -245,18 +248,18 @@ func (o *Orderer) Ingest(m message.Message) {
 	o.holdback = append(o.holdback, stampedMsg{})
 	copy(o.holdback[i+1:], o.holdback[i:])
 	o.holdback[i] = entry
-	ready := o.releaseLocked()
+	drain := o.releaseLocked()
 	o.ins.holdback.Set(int64(len(o.holdback)))
 	o.mu.Unlock()
-	for _, r := range ready {
-		o.deliver(r)
+	if drain {
+		o.out.drain()
 	}
 }
 
-// releaseLocked pops the holdback prefix whose stamps every member's
-// horizon has passed. Caller holds o.mu.
-func (o *Orderer) releaseLocked() []message.Message {
-	var out []message.Message
+// releaseLocked queues for delivery the holdback prefix whose stamps every
+// member's horizon has passed, and reports whether the caller must drain
+// the hand-off after unlocking. Caller holds o.mu.
+func (o *Orderer) releaseLocked() bool {
 	for len(o.holdback) > 0 {
 		head := o.holdback[0]
 		if !o.stableLocked(head.stamp) {
@@ -266,10 +269,10 @@ func (o *Orderer) releaseLocked() []message.Message {
 		if !head.hb {
 			o.delivered++
 			o.ins.delivered.Inc()
-			out = append(out, head.msg)
+			o.out.pushLocked(head.msg)
 		}
 	}
-	return out
+	return o.out.claimLocked()
 }
 
 // stableLocked reports whether no member can still emit a stamp ordering

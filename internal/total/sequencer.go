@@ -101,11 +101,13 @@ type Sequencer struct {
 	// heartbeat; a floor that stalls below nextDeliver for two beats
 	// triggers the leader's retained-ORDER re-announcement.
 	repairFloor uint64
-	ins         totalInstruments
-	trace       *telemetry.Ring
-	spans       *trace.Tracer
-	flight      *flightrec.Recorder
-	wlog        *wal.WAL
+	// out hands released messages to the application in sequence order.
+	out    handoff
+	ins    totalInstruments
+	trace  *telemetry.Ring
+	spans  *trace.Tracer
+	flight *flightrec.Recorder
+	wlog   *wal.WAL
 
 	done     chan struct{}
 	stopOnce sync.Once
@@ -146,6 +148,7 @@ func NewSequencer(cfg Config) (*Sequencer, error) {
 		nextDeliver: 1,
 		done:        make(chan struct{}),
 	}
+	s.out = handoff{mu: &s.mu, deliver: s.deliverOne}
 	if cfg.FailTimeout > 0 {
 		s.tracker = group.NewTracker(cfg.Group)
 		s.detector = group.NewDetector(s.tracker, cfg.Self, cfg.FailTimeout)
@@ -330,13 +333,15 @@ func (s *Sequencer) Resume(snap SyncSnapshot, lastLabel uint64) {
 		}
 	}
 	b := s.bcast
-	ready := s.releaseLocked()
+	drain := s.releaseLocked()
 	s.observeLocked()
 	s.mu.Unlock()
 	for _, m := range orders {
 		_ = b.Broadcast(m)
 	}
-	s.deliverAll(ready)
+	if drain {
+		s.out.drain()
+	}
 }
 
 // ASend broadcasts an operation for totally ordered delivery.
@@ -730,11 +735,13 @@ func (s *Sequencer) ingestData(m message.Message) {
 			announce = append(announce, s.assignLocked(m.Label))
 		}
 	}
-	ready := s.releaseLocked()
+	drain := s.releaseLocked()
 	s.observeLocked()
 	b := s.bcast
 	s.mu.Unlock()
-	s.deliverAll(ready)
+	if drain {
+		s.out.drain()
+	}
 	for _, a := range announce {
 		_ = b.Broadcast(a) // leader retries are the causal layer's concern
 	}
@@ -800,10 +807,12 @@ func (s *Sequencer) ingestOrder(epoch, seq uint64, label message.Label) {
 	}
 	s.spans.OrderApplied(epoch, label)
 	s.mergeAssignLocked(epoch, seq, label)
-	ready := s.releaseLocked()
+	drain := s.releaseLocked()
 	s.observeLocked()
 	s.mu.Unlock()
-	s.deliverAll(ready)
+	if drain {
+		s.out.drain()
+	}
 }
 
 func (s *Sequencer) ingestSeqHB(from string, epoch, nextDeliver uint64) {
@@ -877,39 +886,40 @@ func (s *Sequencer) ingestAck(from string, epoch, nextDeliver uint64, assigns ma
 		s.acked[from] = true
 		out = s.maybeCompleteElectionLocked(time.Now())
 	}
-	ready := s.releaseLocked()
+	drain := s.releaseLocked()
 	s.observeLocked()
 	b := s.bcast
 	s.mu.Unlock()
-	s.deliverAll(ready)
+	if drain {
+		s.out.drain()
+	}
 	for _, m := range out {
 		_ = b.Broadcast(m)
 	}
 }
 
-// deliverAll hands released messages to the application in order, marking
-// each one's total-order apply point on the trace collector first so span
-// records show sequencing latency separately from causal delivery. Called
-// without mu held.
-func (s *Sequencer) deliverAll(ready []message.Message) {
-	for _, m := range ready {
-		s.spans.Apply(m.Label)
-		s.deliver(m)
-	}
+// deliverOne hands one released message to the application, marking its
+// total-order apply point on the trace collector first so span records
+// show sequencing latency separately from causal delivery. Called by the
+// hand-off drainer without mu held.
+func (s *Sequencer) deliverOne(m message.Message) {
+	s.spans.Apply(m.Label)
+	s.deliver(m)
 }
 
-// releaseLocked delivers the contiguous sequenced prefix. Caller holds mu.
-func (s *Sequencer) releaseLocked() []message.Message {
+// releaseLocked queues the contiguous sequenced prefix for delivery and
+// reports whether the caller must drain the hand-off after unlocking.
+// Caller holds mu.
+func (s *Sequencer) releaseLocked() bool {
 	retain := s.failTimeout > 0
-	var out []message.Message
 	for {
 		a, ok := s.seqOf[s.nextDeliver]
 		if !ok {
-			return out
+			return s.out.claimLocked()
 		}
 		m, ok := s.data[a.label]
 		if !ok {
-			return out // data not yet here (a merged assignment outran it)
+			return s.out.claimLocked() // data not yet here (a merged assignment outran it)
 		}
 		if !retain {
 			delete(s.seqOf, s.nextDeliver)
@@ -919,7 +929,7 @@ func (s *Sequencer) releaseLocked() []message.Message {
 		s.nextDeliver++
 		s.delivered++
 		s.ins.delivered.Inc()
-		out = append(out, m)
+		s.out.pushLocked(m)
 		s.wlog.Commit(s.nextDeliver)
 	}
 }
